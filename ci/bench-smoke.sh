@@ -20,7 +20,7 @@ json="$root/BENCH_${stage}.json"
 mkdir -p "$root/target"
 rm -f "$ndjson"
 
-# Keep the committed numbers around: the quire-GEMM regression gate below
+# Keep the committed numbers around: the kernel regression gate below
 # compares the fresh run against them before they are overwritten.
 old_json="$root/target/criterion-${stage}-committed.json"
 rm -f "$old_json"
@@ -55,12 +55,15 @@ else
 fi
 
 # Regression gate: the posit-quire GEMM rows, the serve rows built on
-# them, and the plane_decode rows (the decode LUT fast paths feeding every
-# kernel) must not regress more than 1.5x against the previous
-# run's JSON. The telemetry-overhead rows (mlp.obs-off/posit-quire and
+# them, the plane_decode rows (the decode LUT fast paths feeding every
+# kernel) and the quantize_slice / eq3_shifted_quantize rows (the Eq. 3
+# P(.) operator on the encode table, run at every Fig. 3 edge) must not
+# regress more than 1.5x against the previous run's JSON. The
+# telemetry-overhead rows (mlp.obs-off/posit-quire and
 # mlp.obs-on/posit-quire from benches/backends.rs) match the same
 # pattern, so both the disabled cost of posit-obs (one relaxed atomic
-# load per kernel call) and its enabled cost are held inside the gate. The baseline is always same-machine: BENCH_*.json is
+# load per kernel call) and its enabled cost are held inside the gate.
+# The baseline is always same-machine: BENCH_*.json is
 # gitignored, so the file at the repo root is whatever the *last run on
 # this box* wrote (a fresh clone has no baseline and skips the gate) —
 # absolute wall times are never compared across machines. Other rows are
@@ -68,10 +71,10 @@ fi
 # quick-mode warm-up — but a >1.5x slide on a millisecond-scale GEMM on
 # the same box is a code change, not noise.
 if [ -s "$old_json" ]; then
-    echo "==> quire-GEMM regression gate (limit 1.5x vs committed JSON)"
+    echo "==> kernel regression gate (limit 1.5x vs committed JSON)"
     awk '
         # "  "lenet.fc1/posit-quire": 1234," -> key | value
-        match($0, /"((lenet|mlp|serve)\.[^"]*\/posit-quire|plane_decode\/[^"]*)"/) {
+        match($0, /"((lenet|mlp|serve)\.[^"]*\/posit-quire|(plane_decode|quantize_slice|eq3_shifted_quantize)\/[^"]*)"/) {
             key = substr($0, RSTART + 1, RLENGTH - 2)
             val = $0
             sub(/^[^:]*: */, "", val)
@@ -94,7 +97,7 @@ if [ -s "$old_json" ]; then
                 if (ratio > 1.5) status = 1
             }
             if (status) {
-                print "==> FAIL: posit-quire GEMM regressed >1.5x vs committed BENCH json" \
+                print "==> FAIL: a gated kernel row regressed >1.5x vs committed BENCH json" \
                     > "/dev/stderr"
             }
             exit status

@@ -39,11 +39,13 @@ pub fn scale_exp(xs: &[f32], sigma: i32) -> Option<i32> {
 ///
 /// `rand_state` drives stochastic rounding (ignored by deterministic
 /// modes); it is advanced once per element so streams are reproducible.
-/// When `posit_obs` recording is on, edge-health tallies (clamped /
-/// flushed / NaR counts and a log2-magnitude histogram of the scaled
-/// inputs) are published under the thread's current
-/// [`posit_obs::edge_label`] — observation only: the quantized values and
-/// the random stream are byte-identical either way.
+/// Deterministic modes go through the fused [`posit::quant::quantize_f32`]
+/// and build no code word. When `posit_obs` recording is on, edge-health
+/// tallies (clamped / flushed / NaR counts and a log2-magnitude histogram
+/// of the scaled inputs) are published under the thread's current
+/// [`posit_obs::edge_label`], from code words read off the same encode
+/// table — observation only: the quantized values and the random stream
+/// are byte-identical either way.
 pub fn shifted_quantize_slice(
     xs: &mut [f32],
     fmt: &PositFormat,
@@ -53,60 +55,36 @@ pub fn shifted_quantize_slice(
 ) {
     let sf = (scale_exp as f32).exp2();
     let inv = (-scale_exp as f32).exp2();
-    let obs_on = posit_obs::enabled();
-    let mut tally = posit_obs::EdgeTally::default();
-    let log2 = if obs_on {
-        Some(posit_obs::edge_log2_histogram(None))
-    } else {
-        None
-    };
-    match rounding {
-        Rounding::Stochastic => {
+    // `quant::quantize_f32`, with the table fetched once for the slice.
+    let table = posit::lut::encode_table(*fmt);
+    let mut edge = posit_obs::EdgeRecorder::start(fmt.maxpos(), fmt.nar_bits());
+    match (rounding, edge.as_mut()) {
+        (Rounding::Stochastic, mut edge) => {
             for x in xs.iter_mut() {
-                let z = posit::quant::sr_next(rand_state);
-                let scaled = (*x * inv) as f64;
-                let bits = fmt.from_f64_stochastic(scaled, z);
-                if obs_on {
-                    note_edge(&mut tally, log2.as_ref(), fmt, scaled, bits);
+                let scaled = *x * inv;
+                let bits =
+                    fmt.from_f64_stochastic(scaled as f64, posit::quant::sr_next(rand_state));
+                if let Some(e) = edge.as_deref_mut() {
+                    e.note(scaled as f64, bits);
                 }
                 *x = fmt.to_f32(bits) * sf;
             }
         }
-        mode => {
+        (mode, None) => {
             for x in xs.iter_mut() {
-                let scaled = (*x * inv) as f64;
-                let bits = fmt.from_f64(scaled, mode);
-                if obs_on {
-                    note_edge(&mut tally, log2.as_ref(), fmt, scaled, bits);
-                }
-                *x = fmt.to_f32(bits) * sf;
+                *x = table.quantize_f32(*x * inv, mode) * sf;
+            }
+        }
+        (mode, Some(e)) => {
+            for x in xs.iter_mut() {
+                let scaled = *x * inv;
+                e.note(scaled as f64, fmt.from_f32(scaled, mode));
+                *x = table.quantize_f32(scaled, mode) * sf;
             }
         }
     }
-    if obs_on {
-        posit_obs::record_edge(None, &tally);
-    }
-}
-
-/// One element's contribution to the quantization-edge tally: classifies
-/// the (scaled value, code word) pair without touching either.
-fn note_edge(
-    tally: &mut posit_obs::EdgeTally,
-    log2: Option<&posit_obs::HistogramHandle>,
-    fmt: &PositFormat,
-    scaled: f64,
-    bits: u64,
-) {
-    tally.total += 1;
-    if bits == fmt.nar_bits() {
-        tally.nar += 1;
-    } else if scaled.is_finite() && scaled.abs() > fmt.maxpos() {
-        tally.clamped += 1;
-    } else if scaled != 0.0 && bits == 0 {
-        tally.flushed += 1;
-    }
-    if let (Some(h), Some(v)) = (log2, posit_obs::log2_offset_of(scaled)) {
-        h.record(v);
+    if let Some(e) = edge {
+        e.finish();
     }
 }
 

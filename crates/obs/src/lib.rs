@@ -227,6 +227,62 @@ pub fn log2_offset_of(x: f64) -> Option<u64> {
     Some((exp + LOG2_OFFSET).clamp(0, 255) as u64)
 }
 
+/// One quantization edge being recorded: classifies each element's scaled
+/// input against the code word it was encoded to — clamped past maxpos,
+/// flushed to zero, or NaR — and counts its log2 magnitude, then
+/// publishes the tally with [`record_edge`] and the counts into the edge's
+/// log2 histogram on [`EdgeRecorder::finish`]. Both the packed encode
+/// (`Tensor::to_posit_with`) and the in-place Eq. 3 quantizer tally their
+/// edges through it. Read-only on both sides.
+pub struct EdgeRecorder {
+    tally: EdgeTally,
+    /// Per-edge log2 bin counts, flushed with one histogram add per bin:
+    /// an atomic add per element would cost more than the encode itself.
+    log2_counts: [u64; 256],
+    maxpos: f64,
+    nar_code: u64,
+}
+
+impl EdgeRecorder {
+    /// A recorder for an edge into a format with the given `maxpos` and
+    /// NaR code word, under the thread's current [`edge_label`]; `None`
+    /// when recording is off.
+    pub fn start(maxpos: f64, nar_code: u64) -> Option<EdgeRecorder> {
+        enabled().then(|| EdgeRecorder {
+            tally: EdgeTally::default(),
+            log2_counts: [0; 256],
+            maxpos,
+            nar_code,
+        })
+    }
+
+    /// Tally one element: the scaled input and its code word.
+    #[inline]
+    pub fn note(&mut self, scaled: f64, code: u64) {
+        self.tally.total += 1;
+        if code == self.nar_code {
+            self.tally.nar += 1;
+        } else if scaled.is_finite() && scaled.abs() > self.maxpos {
+            self.tally.clamped += 1;
+        } else if scaled != 0.0 && code == 0 {
+            self.tally.flushed += 1;
+        }
+        if let Some(v) = log2_offset_of(scaled) {
+            self.log2_counts[v as usize] += 1;
+        }
+    }
+
+    /// Publish the tally under the edge's `edge.{label}.*` counters and the
+    /// log2 counts into `edge.{label}.log2`.
+    pub fn finish(self) {
+        record_edge(None, &self.tally);
+        let log2 = edge_log2_histogram(None);
+        for (v, &n) in self.log2_counts.iter().enumerate() {
+            log2.record_n(v as u64, n);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,5 +355,29 @@ mod tests {
             snap.get("edge.t.obs.layer.w.flushed").is_none(),
             "zero fields are not registered"
         );
+    }
+
+    #[test]
+    fn edge_recorder_classifies_each_element() {
+        let _g = push_edge_label("t.obs.recorder");
+        let was = enabled();
+        set_enabled(true);
+        // posit(8,1)-like edge: maxpos 4096, NaR code 0x80.
+        let rec = EdgeRecorder::start(4096.0, 0x80);
+        set_enabled(was);
+        let mut rec = rec.expect("recording is on");
+        rec.note(1.0, 0x40);
+        rec.note(1e9, 0x7F); // clamped
+        rec.note(1e-9, 0); // flushed
+        rec.note(0.0, 0); // a true zero is not flushed
+        rec.note(f64::NAN, 0x80); // NaR
+        rec.finish();
+        let snap = Registry::global().snapshot();
+        let log2 = edge_log2_histogram(Some("t.obs.recorder")).snapshot();
+        assert_eq!(log2.count(), 3, "zero and NaN have no log2 bin");
+        assert_eq!(snap.counter("edge.t.obs.recorder.elems"), 5);
+        assert_eq!(snap.counter("edge.t.obs.recorder.clamped"), 1);
+        assert_eq!(snap.counter("edge.t.obs.recorder.flushed"), 1);
+        assert_eq!(snap.counter("edge.t.obs.recorder.nar"), 1);
     }
 }

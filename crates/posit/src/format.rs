@@ -295,9 +295,18 @@ impl PositFormat {
     }
 
     /// Decode directly to `f64` (exact for all supported formats);
-    /// NaR becomes NaN.
+    /// NaR becomes NaN. Decodes through [`PositFormat::decode_fast`].
     pub fn to_f64(&self, bits: u64) -> f64 {
-        self.decode(bits).to_f64()
+        match self.decode_fast(bits) {
+            // Scales stay within ±480 and at most 29 fraction bits are set,
+            // so the f64 is assembled from the fields exactly.
+            PositValue::Finite(d) => f64::from_bits(
+                (d.sign.is_negative() as u64) << 63
+                    | ((d.scale + 1023) as u64) << 52
+                    | d.frac >> 12,
+            ),
+            v => v.to_f64(),
+        }
     }
 
     /// Decode directly to `f32`. Exact whenever the posit has at most 24
@@ -316,6 +325,9 @@ impl PositFormat {
     ///
     /// This is the single rounding point for the whole crate: every
     /// arithmetic op reduces to exact integer internals and finishes here.
+    /// The round-toward-zero code word comes from the format's
+    /// [`crate::lut::EncodeTable`]; nearest-even and stochastic rounding
+    /// then compare the value against its two neighbouring code words.
     ///
     /// For [`Rounding::Stochastic`], `rand_word` supplies the randomness
     /// (the tail is compared against it); it is ignored by the deterministic
@@ -345,70 +357,71 @@ impl PositFormat {
         rounding: Rounding,
         rand_word: u64,
     ) -> u64 {
-        let maxpos_code = self.maxpos_bits();
+        if let Some(code) = self.encode_out_of_range(scale, frac, rounding, rand_word) {
+            return code;
+        }
+        let (field, exact) = crate::lut::encode_table(*self).truncate(scale, frac, sticky);
+        // Truncation of the monotone code stream IS round-toward-zero in
+        // value space.
+        if exact || rounding == Rounding::ToZero {
+            return field;
+        }
+        self.round_inexact(field, scale, frac, sticky, rounding, rand_word)
+    }
+
+    /// The code word of a magnitude outside `[minpos, maxpos]`'s scales, or
+    /// `None` when `scale` is in range.
+    fn encode_out_of_range(
+        &self,
+        scale: i32,
+        frac: u64,
+        rounding: Rounding,
+        rand_word: u64,
+    ) -> Option<u64> {
         if scale > self.max_scale() {
             // Overflow clips to maxpos in every mode: Algorithm 1 line 7 for
             // RTZ; "never round to NaR" for RNE/SR.
-            return maxpos_code;
+            return Some(self.maxpos_bits());
         }
-        if scale < self.min_scale() {
-            return match rounding {
-                // Algorithm 1 lines 3-4: flush to zero below minpos.
-                Rounding::ToZero => 0,
-                // Posit standard: non-zero values never round to zero.
-                Rounding::NearestEven => self.minpos_bits(),
-                Rounding::Stochastic => {
-                    // Round up to minpos with probability value/minpos.
-                    let shift = (self.min_scale() - scale) as u64;
-                    let sig = (1u64 << 63) | (frac >> 1);
-                    let p = if shift > 64 { 0 } else { sig >> (shift - 1) };
-                    if rand_word < p {
-                        self.minpos_bits()
-                    } else {
-                        0
-                    }
+        if scale >= self.min_scale() {
+            return None;
+        }
+        Some(match rounding {
+            // Algorithm 1 lines 3-4: flush to zero below minpos.
+            Rounding::ToZero => 0,
+            // Posit standard: non-zero values never round to zero.
+            Rounding::NearestEven => self.minpos_bits(),
+            Rounding::Stochastic => {
+                // Round up to minpos with probability value/minpos.
+                let shift = (self.min_scale() - scale) as u64;
+                let sig = (1u64 << 63) | (frac >> 1);
+                let p = if shift > 64 { 0 } else { sig >> (shift - 1) };
+                if rand_word < p {
+                    self.minpos_bits()
+                } else {
+                    0
                 }
-            };
-        }
+            }
+        })
+    }
 
-        // Build the unbounded regime|exponent|fraction bit stream in a u128,
-        // most significant bit first at position 127.
-        let es = self.es;
-        let k = scale >> es;
-        let e = (scale - (k << es)) as u128; // in [0, 2^es)
-        let mut body: u128 = 0;
-        let mut pos: u32 = 128;
-        if k >= 0 {
-            let ones = k as u32 + 1;
-            // `ones` 1-bits then a terminating 0.
-            body |= ((1u128 << ones) - 1) << (pos - ones);
-            pos -= ones + 1;
-        } else {
-            let zeros = (-k) as u32;
-            pos -= zeros;
-            body |= 1u128 << (pos - 1);
-            pos -= 1;
-        }
-        if es > 0 {
-            body |= e << (pos - es);
-            pos -= es;
-        }
-        body |= (frac as u128) << (pos - 64);
-
-        // Take the top n-1 bits; the rest is the rounding tail.
-        let field_bits = self.n - 1;
-        let field = (body >> (128 - field_bits)) as u64;
-        let tail = body << field_bits;
-        let exact = tail == 0 && !sticky;
-
-        // Truncation of the monotone code stream IS round-toward-zero in
-        // value space; the other modes need true value-space comparisons
-        // because posit code spacing is geometric across regime boundaries
-        // (between 1024 and 4096 in (8,1) the arithmetic midpoint is 2560,
-        // not the stream-guard boundary 2048).
-        let code = if exact || rounding == Rounding::ToZero {
-            field
-        } else if field == maxpos_code {
+    /// Nearest-even or stochastic rounding of an inexact in-range
+    /// magnitude whose truncated (round-toward-zero) code word is `field`.
+    /// These modes need true value-space comparisons because posit code
+    /// spacing is geometric across regime boundaries (between 1024 and
+    /// 4096 in (8,1) the arithmetic midpoint is 2560, not the stream-guard
+    /// boundary 2048).
+    fn round_inexact(
+        &self,
+        field: u64,
+        scale: i32,
+        frac: u64,
+        sticky: bool,
+        rounding: Rounding,
+        rand_word: u64,
+    ) -> u64 {
+        let maxpos_code = self.maxpos_bits();
+        let code = if field == maxpos_code {
             // x lies above maxpos' last representable step; clamp
             // (posits never round to NaR).
             maxpos_code
@@ -476,6 +489,64 @@ impl PositFormat {
         // non-zero field, so no zero-clamping is needed here.
         debug_assert!(code >= 1 && code <= maxpos_code);
         code
+    }
+
+    /// [`PositFormat::encode_fields`] with the truncated code built bit by
+    /// bit in a `u128` regime|exponent|fraction stream instead of read from
+    /// the [`crate::lut::EncodeTable`]. A test oracle for the table; not
+    /// called by the library.
+    #[doc(hidden)]
+    pub fn encode_fields_bitstream(
+        &self,
+        sign: Sign,
+        scale: i32,
+        frac: u64,
+        sticky: bool,
+        rounding: Rounding,
+        rand_word: u64,
+    ) -> u64 {
+        let code = match self.encode_out_of_range(scale, frac, rounding, rand_word) {
+            Some(code) => code,
+            None => {
+                // The unbounded bit stream, most significant bit first at
+                // position 127.
+                let es = self.es;
+                let k = scale >> es;
+                let e = (scale - (k << es)) as u128; // in [0, 2^es)
+                let mut body: u128 = 0;
+                let mut pos: u32 = 128;
+                if k >= 0 {
+                    let ones = k as u32 + 1;
+                    // `ones` 1-bits then a terminating 0.
+                    body |= ((1u128 << ones) - 1) << (pos - ones);
+                    pos -= ones + 1;
+                } else {
+                    let zeros = (-k) as u32;
+                    pos -= zeros;
+                    body |= 1u128 << (pos - 1);
+                    pos -= 1;
+                }
+                if es > 0 {
+                    body |= e << (pos - es);
+                    pos -= es;
+                }
+                body |= (frac as u128) << (pos - 64);
+                // The top n-1 bits are the field; the rest is the tail.
+                let field_bits = self.n - 1;
+                let field = (body >> (128 - field_bits)) as u64;
+                let exact = body << field_bits == 0 && !sticky;
+                if exact || rounding == Rounding::ToZero {
+                    field
+                } else {
+                    self.round_inexact(field, scale, frac, sticky, rounding, rand_word)
+                }
+            }
+        };
+        if sign.is_negative() {
+            self.negate(code)
+        } else {
+            code
+        }
     }
 
     /// Convert an `f64` to the nearest posit under `rounding`.

@@ -1,15 +1,23 @@
-//! Per-format decode lookup tables for narrow (n ≤ 8) posit formats.
+//! Per-format lookup tables for the posit codec.
 //!
-//! An 8-bit posit has at most 256 code words, so the whole decode — regime
-//! run detection, exponent reassembly, fraction alignment — collapses into
-//! one table lookup. The tables are built lazily (once per `(n, es)`) by the
+//! **Decode.** An 8-bit posit has at most 256 code words, so the whole
+//! decode — regime run detection, exponent reassembly, fraction alignment —
+//! collapses into one table lookup; 16-bit formats use a two-level table
+//! ([`Lut2`]). The tables are built lazily (once per `(n, es)`) by the
 //! bit-exact [`PositFormat::decode`] itself, so a LUT hit is *identical* to
 //! a bit-twiddled decode by construction; they exist purely to take the
 //! per-element decode off hot paths (operand-plane unpacking in the tensor
 //! kernels, neighbour decodes inside the rounding search, posit→f32 on
 //! store).
+//!
+//! **Encode.** [`EncodeTable`] holds, per representable scale, the
+//! regime|exponent prefix of the code word and how many fraction bits
+//! follow it, so Eq. 3 truncation is one OR and one shift; the same rows
+//! re-indexed by the f32 exponent byte give the fused `f32 → f32`
+//! round-toward-zero `P(·)` of [`EncodeTable::quantize_f32`].
 
 use crate::format::PositFormat;
+use crate::round::Rounding;
 use crate::value::{Decoded, PositValue, Sign};
 use std::sync::OnceLock;
 
@@ -298,6 +306,182 @@ pub fn decode_lut2(fmt: PositFormat) -> Option<&'static Lut2> {
     }
     let (ni, ei) = ((fmt.n() - MAX_LUT_BITS - 1) as usize, fmt.es() as usize);
     Some(LUT2[ni][ei].get_or_init(|| Box::new(Lut2::build(fmt))))
+}
+
+// ----------------------------------------------------------------------
+// Encode tables (every format)
+// ----------------------------------------------------------------------
+
+/// One scale's slice of the code space: a magnitude `2^scale · (1 + f)`
+/// truncates to `prefix | top frac_bits bits of f`.
+#[derive(Debug, Clone, Copy, Default)]
+struct EncodeRow {
+    /// Regime and stored exponent bits, in place within the `n - 1` body
+    /// bits (fraction bits zero).
+    prefix: u32,
+    /// Fraction bits the code word keeps at this scale.
+    frac_bits: u8,
+    /// True when the code word cannot hold all of this scale's exponent
+    /// bits and the ones it drops are non-zero: truncation is inexact
+    /// whatever the fraction.
+    drops_exp: bool,
+}
+
+/// One f32 exponent byte's round-toward-zero `P(·)`: the result's bits are
+/// `x.to_bits() & and | or`. A row either keeps the sign, exponent and top
+/// `fb` mantissa bits (`or == 0`), returns a signed constant (`and` is the
+/// sign bit: clamp to maxpos, or the power of two the code word keeps at a
+/// scale with no fraction bits — snapped down where exponent bits are
+/// truncated), `+0` (flush) or NaN (`and == 0`).
+#[derive(Debug, Clone, Copy, Default)]
+struct RtzRow {
+    and: u32,
+    or: u32,
+}
+
+/// The per-format encode table behind [`PositFormat::encode_fields`] and
+/// the fused f32 quantizer. See the [module docs](self).
+pub struct EncodeTable {
+    fmt: PositFormat,
+    /// Rows for `scale` in `min_scale..=max_scale`, at `scale - min_scale`.
+    rows: Vec<EncodeRow>,
+    /// Rows by f32 exponent byte; `None` when the format reaches below the
+    /// f32 normal range (`min_scale < -126`), where a subnormal input does
+    /// not truncate by masking.
+    rtz: Option<[RtzRow; 256]>,
+}
+
+impl EncodeTable {
+    fn build(fmt: PositFormat) -> EncodeTable {
+        let es = fmt.es();
+        let avail = fmt.n() - 1;
+        let rows: Vec<EncodeRow> = (fmt.min_scale()..=fmt.max_scale())
+            .map(|scale| {
+                // Regime run plus its terminating bit, then the es-bit
+                // exponent: at most 32 + 4 bits, so a u64 holds the stream.
+                let k = scale >> es;
+                let e = (scale - (k << es)) as u64;
+                let (run, run_len) = if k >= 0 {
+                    (((1u64 << (k + 1)) - 1) << 1, k as u32 + 2)
+                } else {
+                    (1, (-k) as u32 + 1)
+                };
+                let stream = run << es | e;
+                let len = run_len + es;
+                if len <= avail {
+                    EncodeRow {
+                        prefix: (stream << (avail - len)) as u32,
+                        frac_bits: (avail - len) as u8,
+                        drops_exp: false,
+                    }
+                } else {
+                    let cut = len - avail;
+                    EncodeRow {
+                        prefix: (stream >> cut) as u32,
+                        frac_bits: 0,
+                        drops_exp: stream & ((1 << cut) - 1) != 0,
+                    }
+                }
+            })
+            .collect();
+
+        let rtz = (fmt.min_scale() >= -126).then(|| {
+            let nan = RtzRow {
+                and: 0,
+                or: fmt.to_f32(fmt.nar_bits()).to_bits(),
+            };
+            let mut rtz = [RtzRow::default(); 256];
+            // Byte 0 (zero and subnormals, all below minpos) flushes to +0,
+            // as does every byte below min_scale: the default row.
+            rtz[255] = nan;
+            for (byte, slot) in rtz.iter_mut().enumerate().take(255).skip(1) {
+                let scale = byte as i32 - 127;
+                *slot = if scale > fmt.max_scale() {
+                    RtzRow {
+                        and: 1 << 31,
+                        or: fmt.to_f32(fmt.maxpos_bits()).to_bits(),
+                    }
+                } else if scale < fmt.min_scale() {
+                    RtzRow::default()
+                } else {
+                    let row = rows[(scale - fmt.min_scale()) as usize];
+                    if row.frac_bits == 0 {
+                        RtzRow {
+                            and: 1 << 31,
+                            or: fmt.to_f32(row.prefix as u64).to_bits(),
+                        }
+                    } else {
+                        let dropped = 23u32.saturating_sub(row.frac_bits as u32);
+                        RtzRow {
+                            and: !((1u32 << dropped) - 1),
+                            or: 0,
+                        }
+                    }
+                };
+            }
+            rtz
+        });
+        EncodeTable { fmt, rows, rtz }
+    }
+
+    /// Truncate the magnitude `2^scale · (1 + frac/2^64)` (plus `sticky`
+    /// lower bits) to its `n - 1` body bits: returns the round-toward-zero
+    /// code word and whether it is exact.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scale` is outside `min_scale..=max_scale`.
+    #[inline]
+    pub(crate) fn truncate(&self, scale: i32, frac: u64, sticky: bool) -> (u64, bool) {
+        let row = self.rows[(scale - self.fmt.min_scale()) as usize];
+        let fb = row.frac_bits as u32;
+        let kept = if fb == 0 { 0 } else { frac >> (64 - fb) };
+        let exact = !row.drops_exp && !sticky && frac << fb == 0;
+        (row.prefix as u64 | kept, exact)
+    }
+
+    /// The paper's `P(n,es)(x)` on an `f32`: bit-identical to
+    /// `fmt.to_f32(fmt.from_f32(x, rounding))`. Round-toward-zero on a
+    /// format whose range stays inside the f32 normal range is one table
+    /// row and an AND/OR; other cases take the code-word path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rounding` is [`Rounding::Stochastic`].
+    #[inline]
+    pub fn quantize_f32(&self, x: f32, rounding: Rounding) -> f32 {
+        match (&self.rtz, rounding) {
+            (Some(rtz), Rounding::ToZero) => {
+                let b = x.to_bits();
+                let row = rtz[(b >> 23 & 0xFF) as usize];
+                f32::from_bits(b & row.and | row.or)
+            }
+            _ => self.fmt.to_f32(self.fmt.from_f32(x, rounding)),
+        }
+    }
+}
+
+impl std::fmt::Debug for EncodeTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EncodeTable")
+            .field("fmt", &self.fmt)
+            .finish_non_exhaustive()
+    }
+}
+
+type EncodeSlot = OnceLock<Box<EncodeTable>>;
+
+#[allow(clippy::declare_interior_mutable_const)]
+const ENCODE_INIT: EncodeSlot = OnceLock::new();
+#[allow(clippy::declare_interior_mutable_const)]
+const ENCODE_ROW: [EncodeSlot; ES_SLOTS] = [ENCODE_INIT; ES_SLOTS];
+
+static ENCODE: [[EncodeSlot; ES_SLOTS]; 31] = [ENCODE_ROW; 31]; // n in 2..=32
+
+/// The encode table of `fmt`, built on first use (a few KiB at most).
+pub fn encode_table(fmt: PositFormat) -> &'static EncodeTable {
+    ENCODE[(fmt.n() - 2) as usize][fmt.es() as usize]
+        .get_or_init(|| Box::new(EncodeTable::build(fmt)))
 }
 
 #[cfg(test)]

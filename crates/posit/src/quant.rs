@@ -47,13 +47,18 @@ pub fn quantize_f64(fmt: &PositFormat, x: f64, rounding: Rounding) -> f64 {
     fmt.to_f64(fmt.from_f64(x, rounding))
 }
 
-/// Stateless `f32` quantization (deterministic modes only).
+/// Stateless `f32` quantization (deterministic modes only): the one
+/// spelling of `P(·)` on f32 data, equal bit for bit to
+/// `fmt.to_f32(fmt.from_f32(x, rounding))`. Round-toward-zero never builds
+/// a code word (see [`crate::lut::EncodeTable::quantize_f32`]); loops can
+/// fetch [`crate::lut::encode_table`] once and call it directly.
 ///
 /// # Panics
 ///
 /// Panics if `rounding` is [`Rounding::Stochastic`].
+#[inline]
 pub fn quantize_f32(fmt: &PositFormat, x: f32, rounding: Rounding) -> f32 {
-    fmt.to_f32(fmt.from_f64(x as f64, rounding))
+    crate::lut::encode_table(*fmt).quantize_f32(x, rounding)
 }
 
 /// The paper's `P(n,es)` operator with a configurable rounding mode and an
@@ -64,9 +69,10 @@ pub fn quantize_f32(fmt: &PositFormat, x: f32, rounding: Rounding) -> f32 {
 ///
 /// let fmt = PositFormat::new(8, 1)?;
 /// let mut q = PositQuantizer::new(fmt, Rounding::ToZero);
-/// // (8,1) covers [1/64^? ...]: 0.3 truncates to the next posit toward zero.
+/// // In [0.25, 0.5) posit(8,1) keeps 4 fraction bits (steps of 1/64), so
+/// // 0.3 truncates to the posit below it, 0.296875 = 19/64.
 /// let y = q.quantize(0.3);
-/// assert!(y <= 0.3 && y > 0.25);
+/// assert_eq!(y, 0.296875);
 /// // Out-of-range magnitudes clip / flush per Algorithm 1.
 /// assert_eq!(q.quantize(1e30), fmt.maxpos() as f32);
 /// assert_eq!(q.quantize(1e-30), 0.0);
@@ -111,35 +117,34 @@ impl PositQuantizer {
 
     /// Quantize one `f32` value.
     pub fn quantize(&mut self, x: f32) -> f32 {
-        let bits = match self.rounding {
-            Rounding::Stochastic => self
-                .format
-                .from_f64_stochastic(x as f64, splitmix64(&mut self.rng_state)),
-            mode => self.format.from_f64(x as f64, mode),
-        };
-        self.format.to_f32(bits)
+        match self.rounding {
+            Rounding::Stochastic => self.format.to_f32(
+                self.format
+                    .from_f64_stochastic(x as f64, splitmix64(&mut self.rng_state)),
+            ),
+            mode => quantize_f32(&self.format, x, mode),
+        }
     }
 
     /// Quantize a slice in place.
     pub fn quantize_slice(&mut self, xs: &mut [f32]) {
-        for x in xs {
-            *x = self.quantize(*x);
+        if self.rounding == Rounding::Stochastic {
+            for x in xs {
+                *x = self.quantize(*x);
+            }
+        } else {
+            let table = crate::lut::encode_table(self.format);
+            for x in xs {
+                *x = table.quantize_f32(*x, self.rounding);
+            }
         }
     }
 
     /// Quantize into a fresh vector.
     pub fn quantize_to_vec(&mut self, xs: &[f32]) -> Vec<f32> {
-        xs.iter()
-            .map(|&x| {
-                let bits = match self.rounding {
-                    Rounding::Stochastic => self
-                        .format
-                        .from_f64_stochastic(x as f64, splitmix64(&mut self.rng_state)),
-                    mode => self.format.from_f64(x as f64, mode),
-                };
-                self.format.to_f32(bits)
-            })
-            .collect()
+        let mut ys = xs.to_vec();
+        self.quantize_slice(&mut ys);
+        ys
     }
 }
 

@@ -162,9 +162,11 @@ impl Backend {
     }
 
     /// Quantize a slice to the posit grid (the sandwich's operand rounding).
+    /// [`posit::quant::quantize_f32`] with the encode table fetched once.
     pub(crate) fn sandwich_quantize(fmt: &PositFormat, rounding: Rounding, xs: &[f32]) -> Vec<f32> {
+        let table = posit::lut::encode_table(*fmt);
         xs.iter()
-            .map(|&x| fmt.to_f32(fmt.from_f32(x, rounding)))
+            .map(|&x| table.quantize_f32(x, rounding))
             .collect()
     }
 
@@ -468,8 +470,9 @@ impl PreparedOperand<'_> {
     /// The emulated sandwich tail: requantize the f32 scratch result and
     /// accumulate it into `c`.
     fn emulated_store(fmt: &PositFormat, rounding: Rounding, tmp: &[f32], c: &mut [f32]) {
+        let table = posit::lut::encode_table(*fmt);
         for (ci, &t) in c.iter_mut().zip(tmp) {
-            *ci += fmt.to_f32(fmt.from_f32(t, rounding));
+            *ci += table.quantize_f32(t, rounding);
         }
     }
 

@@ -330,21 +330,22 @@ impl Tensor {
         let xs = dense.data();
         let inv = (-scale_exp as f32).exp2();
         let mut bits = PackedBits::for_format(format, xs.len());
-        match rounding {
-            Rounding::Stochastic => {
-                for &x in xs {
-                    let z = posit::quant::sr_next(rand_state);
-                    bits.push(format.from_f64_stochastic((x * inv) as f64, z));
+        let mut edge = posit_obs::EdgeRecorder::start(format.maxpos(), format.nar_bits());
+        for &x in xs {
+            let scaled = x * inv;
+            let code = match rounding {
+                Rounding::Stochastic => {
+                    format.from_f64_stochastic(scaled as f64, posit::quant::sr_next(rand_state))
                 }
+                mode => format.from_f32(scaled, mode),
+            };
+            if let Some(e) = edge.as_mut() {
+                e.note(scaled as f64, code);
             }
-            mode => {
-                for &x in xs {
-                    bits.push(format.from_f64((x * inv) as f64, mode));
-                }
-            }
+            bits.push(code);
         }
-        if posit_obs::enabled() {
-            record_encode_edges(format, xs, inv, &bits);
+        if let Some(e) = edge {
+            e.finish();
         }
         Tensor::with_storage(
             Storage::Posit {
@@ -617,35 +618,6 @@ impl Tensor {
         }
         out
     }
-}
-
-/// Edge-health tally for an encode that just happened: each scaled input
-/// is compared against its code word — read-only on both sides, so the
-/// encode result is untouched. Tallies land under the thread's current
-/// `posit_obs` edge label (`edge.{label}.*`), plus a log2-magnitude
-/// histogram of the pre-quantization scaled values. Callers gate on
-/// [`posit_obs::enabled`]; this does a second pass over the data, which
-/// is why it never runs when recording is off.
-fn record_encode_edges(format: PositFormat, xs: &[f32], inv: f32, bits: &PackedBits) {
-    let mut tally = posit_obs::EdgeTally::default();
-    let log2 = posit_obs::edge_log2_histogram(None);
-    let maxpos = format.maxpos();
-    let nar = format.nar_bits();
-    for (&x, code) in xs.iter().zip(bits.iter()) {
-        let scaled = (x * inv) as f64;
-        tally.total += 1;
-        if code == nar {
-            tally.nar += 1;
-        } else if scaled.is_finite() && scaled.abs() > maxpos {
-            tally.clamped += 1;
-        } else if scaled != 0.0 && code == 0 {
-            tally.flushed += 1;
-        }
-        if let Some(v) = posit_obs::log2_offset_of(scaled) {
-            log2.record(v);
-        }
-    }
-    posit_obs::record_edge(None, &tally);
 }
 
 impl fmt::Debug for Tensor {

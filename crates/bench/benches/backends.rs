@@ -159,6 +159,66 @@ fn bench_dp_step(c: &mut Criterion) {
     }
 }
 
+/// LeNet `conv1` as the `lenet-quire-train` workload trains it: batch 32,
+/// `3×16×16` inputs, `QuantSpec::cifar_paper()` on the quire kernels —
+/// posit(8,1) forward, posit(8,2) backward — in the posit phase under the
+/// exact shard protocol, Fig. 3 edges included.
+///
+/// * `lenet.conv1.layer/posit-quire` — the forward pass (one batch-wide
+///   lowered GEMM);
+/// * `lenet.conv1.layer-step/posit-quire` — forward plus the
+///   parameters-only backward the trainer runs on a network's first layer
+///   (batch-wide ΔW/Δb into quire buffers, no dX), rounded once at the
+///   end of the batch.
+fn bench_conv_layer(c: &mut Criterion) {
+    use posit_models::LayerBuilder;
+    use posit_nn::init;
+    use posit_tensor::Tensor;
+    use posit_train::{ComputeBackend, Phase, QuantBuilder, QuantSpec};
+
+    let batch = 32;
+    let mut rng = Prng::seed(11);
+    let spec = QuantSpec::cifar_paper().with_backend(ComputeBackend::PositQuire);
+    let mut qb = QuantBuilder::new(spec);
+    let control = qb.control();
+    let mut conv = qb.conv(
+        "conv1",
+        init::kaiming_conv(6, 3, 5, 5, &mut rng),
+        Some(init::zero_bias(6)),
+        1,
+        0,
+    );
+    let x = Tensor::rand_normal(&[batch, 3, 16, 16], 0.0, 1.0, &mut rng);
+    let dy = Tensor::rand_normal(&[batch, 6, 12, 12], 0.0, 0.01, &mut rng);
+    // One calibrate pass freezes the Eq. 2 scales, as the warm-up does.
+    control.set_phase(Phase::Calibrate);
+    conv.forward(&x, true);
+    let _ = conv.backward(&dy);
+    control.set_phase(Phase::Posit);
+    let mut g = c.benchmark_group("lenet.conv1.layer");
+    g.throughput(Throughput::Elements(batch as u64));
+    g.bench_function("posit-quire", |bch| {
+        bch.iter(|| conv.forward(black_box(&x), true))
+    });
+    g.finish();
+    let mut g = c.benchmark_group("lenet.conv1.layer-step");
+    g.throughput(Throughput::Elements(batch as u64));
+    g.bench_function("posit-quire", |bch| {
+        bch.iter(|| {
+            for p in conv.params_mut() {
+                p.zero_grad();
+            }
+            conv.begin_grad_batch(batch);
+            conv.begin_grad_shard();
+            let y = conv.forward(black_box(&x), true);
+            conv.backward_params(black_box(&dy));
+            conv.end_grad_batch();
+            y
+        })
+    });
+    g.finish();
+}
+
 /// Operand-plane unpack throughput, one row per decode route:
 ///
 /// * `lut/posit(8,1)` — the SWAR lane-group gather through the 256-entry
@@ -238,6 +298,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(1))
         .sample_size(10);
-    targets = bench_backends, bench_dp_step, bench_plane_decode, bench_obs_overhead
+    targets = bench_backends, bench_dp_step, bench_conv_layer, bench_plane_decode, bench_obs_overhead
 }
 criterion_main!(benches);

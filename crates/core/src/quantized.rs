@@ -301,6 +301,32 @@ impl Quantized {
         }
     }
 
+    /// Fig. 3b: ΔW → P(·) → ΔW_p on every parameter gradient.
+    fn quantize_weight_grads(&mut self) {
+        let (sigma, scaling, rounding, fmt) = (self.sigma, self.scaling, self.rounding, self.g_fmt);
+        let gscale = &mut self.g_scale;
+        let sr = &mut self.sr_state;
+        let _edge = posit_obs::enabled()
+            .then(|| posit_obs::push_edge_label(&format!("{}.dw", self.inner.name())));
+        for p in self.inner.params_mut() {
+            let e = gscale.exp_or_lazy(p.grad.data(), sigma, scaling);
+            scale::shifted_quantize_slice(p.grad.data_mut(), &fmt, e, rounding, sr);
+        }
+    }
+
+    /// The posit-phase tail every backward shares once the inner layer
+    /// has run: restore the FP32 master (the posit weight view has served
+    /// forward + backward) and quantize ΔW — one accumulation per step.
+    /// Under an open gradient batch the inner layer holds ΔW in quire
+    /// buffers instead of `Param::grad`, so the ΔW edge moves to
+    /// `end_grad_batch`, still once per step.
+    fn finish_posit_backward(&mut self) {
+        self.restore_master();
+        if !self.grad_batch_open {
+            self.quantize_weight_grads();
+        }
+    }
+
     /// Put the FP32 master values back (no-op under the posit-master
     /// ablation or when no view is installed).
     fn restore_master(&mut self) {
@@ -394,27 +420,8 @@ impl Layer for Quantized {
                 self.e_scale.freeze(self.sigma);
                 self.g_scale.freeze(self.sigma);
                 let mut g = self.inner.backward(grad_out);
-                // The posit weight view has served forward + backward;
-                // restore the FP32 master before the optimizer step.
-                self.restore_master();
-                // Fig. 3b: ΔW → P(·) → ΔW_p (one accumulation per step).
-                // Under an open gradient batch the inner layer holds ΔW in
-                // quire buffers instead of Param::grad, so this edge moves
-                // to end_grad_batch — still once per step.
-                let sigma = self.sigma;
-                let scaling = self.scaling;
-                let rounding = self.rounding;
-                if !self.grad_batch_open {
-                    let fmt = self.g_fmt;
-                    let gscale = &mut self.g_scale;
-                    let sr = &mut self.sr_state;
-                    let _edge = posit_obs::enabled()
-                        .then(|| posit_obs::push_edge_label(&format!("{}.dw", self.inner.name())));
-                    for p in self.inner.params_mut() {
-                        let e = gscale.exp_or_lazy(p.grad.data(), sigma, scaling);
-                        scale::shifted_quantize_slice(p.grad.data_mut(), &fmt, e, rounding, sr);
-                    }
-                }
+                self.finish_posit_backward();
+                let (sigma, scaling, rounding) = (self.sigma, self.scaling, self.rounding);
                 // Fig. 3b: E^{l-1} → P(·) → E^{l-1}_p — a storage
                 // transition under the quire backend, like the forward
                 // activation edge.
@@ -433,6 +440,33 @@ impl Layer for Quantized {
                     );
                     g
                 }
+            }
+        }
+    }
+
+    /// Skips the `E^{l-1}` edge (and the inner layer's input gradient)
+    /// only where that edge has no side effects: in the FP32 phase, or in
+    /// the posit phase under deterministic rounding once the error scale
+    /// is frozen. The calibrate phase observes the error (checkpointed
+    /// state) and stochastic rounding advances the SR stream, so both run
+    /// the full [`Layer::backward`].
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        match self.control.phase() {
+            Phase::Fp32 => self.inner.backward_params(grad_out),
+            Phase::Calibrate => {
+                let _ = self.backward(grad_out);
+            }
+            Phase::Posit => {
+                self.e_scale.freeze(self.sigma);
+                self.g_scale.freeze(self.sigma);
+                let e_edge_pure = self.rounding != posit::Rounding::Stochastic
+                    && (!self.scaling || self.e_scale.exp.is_some());
+                if !e_edge_pure {
+                    let _ = self.backward(grad_out);
+                    return;
+                }
+                self.inner.backward_params(grad_out);
+                self.finish_posit_backward();
             }
         }
     }
@@ -468,18 +502,7 @@ impl Layer for Quantized {
         // … and the deferred Fig. 3b ΔW edge quantizes them exactly once
         // per optimizer step, as the serial run does.
         if self.control.phase() == Phase::Posit {
-            let sigma = self.sigma;
-            let scaling = self.scaling;
-            let rounding = self.rounding;
-            let fmt = self.g_fmt;
-            let gscale = &mut self.g_scale;
-            let sr = &mut self.sr_state;
-            let _edge = posit_obs::enabled()
-                .then(|| posit_obs::push_edge_label(&format!("{}.dw", self.inner.name())));
-            for p in self.inner.params_mut() {
-                let e = gscale.exp_or_lazy(p.grad.data(), sigma, scaling);
-                scale::shifted_quantize_slice(p.grad.data_mut(), &fmt, e, rounding, sr);
-            }
+            self.quantize_weight_grads();
         }
     }
 

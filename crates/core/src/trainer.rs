@@ -318,7 +318,7 @@ impl Trainer {
             if config.loss_scale != 1.0 {
                 g.scale(config.loss_scale);
             }
-            self.net.backward(&g);
+            self.net.backward_params(&g);
             start = end;
         }
         self.net.end_grad_batch();
@@ -498,7 +498,7 @@ impl Trainer {
                         g.scale(config.loss_scale);
                     }
                     opt.zero_grad(&mut self.net.params_mut());
-                    self.net.backward(&g);
+                    self.net.backward_params(&g);
                     if config.loss_scale != 1.0 {
                         let inv = 1.0 / config.loss_scale;
                         for p in self.net.params_mut() {

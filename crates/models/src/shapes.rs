@@ -4,7 +4,11 @@
 //! Convolutions are reported as their per-sample im2col GEMM
 //! `[O, C·KH·KW] × [C·KH·KW, OH·OW]`; fully-connected layers as the batched
 //! `[N, in] × [in, out]` forward product. The `bench` crate pits the
-//! compute backends against each other at exactly these shapes.
+//! compute backends against each other at exactly these shapes. The quire
+//! backend now runs each convolution batch-wide (one
+//! `[O, C·KH·KW] × [C·KH·KW, N·OH·OW]` GEMM per direction, see
+//! `posit_tensor::conv`); the per-sample conv shapes stay as they are so
+//! the bench rows remain comparable across revisions.
 
 /// One GEMM problem `C[m,n] = A[m,k] · B[k,n]` with a human-readable label.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,7 +40,9 @@ impl GemmShape {
 }
 
 /// The forward GEMMs of [`crate::lenet`] on `1×side×side` inputs with the
-/// given batch size (conv layers per sample, FC layers per batch).
+/// given batch size (conv layers per sample, FC layers per batch). The
+/// quire backend runs the convs batch-wide, as `N` of these per-sample
+/// shapes side by side in one GEMM.
 ///
 /// # Panics
 ///

@@ -2,8 +2,8 @@
 
 use crate::layer::{Layer, LayerKind};
 use crate::param::Param;
-use posit_tensor::conv::{col2im, conv2d_prepared, im2col, ConvGeom};
-use posit_tensor::{Backend, GradQuireBuf, Operand, OperandCache, Tensor};
+use posit_tensor::conv::{col2im, conv2d_backward_exact, conv2d_prepared, im2col, ConvGeom};
+use posit_tensor::{Backend, GradQuireBuf, OperandCache, Tensor};
 
 /// `Conv2d`: NCHW convolution, square kernel, no dilation/groups (all the
 /// paper's ResNets need). Bias is optional — ResNet convs are bias-free
@@ -24,9 +24,8 @@ pub struct Conv2d {
     fwd_weight_cache: OperandCache,
     bwd_weight_cache: OperandCache,
     /// Exact-gradient shard protocol (see [`Layer::begin_grad_batch`]):
-    /// `Some(total_samples)` while a batch is open, one lazily-created
-    /// buffer per shard (the construction margin is read off the operand
-    /// planes at first backward).
+    /// `Some(total_samples)` while a batch is open, one buffer per shard,
+    /// created at the shard's first backward.
     grad_batch: Option<usize>,
     shard_dw: Vec<Option<GradQuireBuf>>,
     shard_db: Vec<Option<GradQuireBuf>>,
@@ -90,6 +89,93 @@ impl Conv2d {
             pad: self.pad,
         }
     }
+
+    /// The backward pass, computing the input gradient only when
+    /// `input_grad` is set (the network's first layer has no use for it).
+    ///
+    /// A quire backend under the exact shard protocol lowers the whole
+    /// shard to one batch-wide pass ([`conv2d_backward_exact`]); every
+    /// other combination runs one im2col GEMM per sample, because its
+    /// `ΔW` rounds once per call and that order is part of its numerics.
+    fn backward_impl(&mut self, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
+        let input = self.cached_input.as_ref().expect("backward before forward");
+        let g = self.geom(input.shape());
+        let o = self.out_channels();
+        let (rows, cols) = (g.col_rows(), g.col_cols());
+        let bwd = self.bwd_backend;
+        if let Some(total) = self
+            .grad_batch
+            .filter(|_| matches!(bwd, Backend::PositQuire { .. }))
+        {
+            // Shard-protocol path: ΔW and Δb land in the shard's quire
+            // buffers and merge exactly across shards. The operand planes
+            // are encoded from dense values (no scale shift), hence margin 0.
+            let new_buf = |len| {
+                bwd.grad_quire_buf(len, 0, total * cols)
+                    .expect("shard protocol requires a quire backend")
+            };
+            let dw = self
+                .shard_dw
+                .last_mut()
+                .expect("backward outside begin_grad_shard")
+                .get_or_insert_with(|| new_buf(o * rows));
+            let db = match self.bias {
+                Some(_) => Some(
+                    self.shard_db
+                        .last_mut()
+                        .expect("shard state out of sync")
+                        .get_or_insert_with(|| new_buf(o)),
+                ),
+                None => None,
+            };
+            let w_prep = input_grad
+                .then(|| bwd.prepare_tensor_cached(&self.weight.value, &mut self.bwd_weight_cache));
+            return conv2d_backward_exact(bwd, &g, input, grad_out, dw, db, w_prep.as_ref());
+        }
+
+        // The im2col unfold and the per-sample slicing are defined on dense
+        // values: packed activations/errors decode once here, at the
+        // storage-domain boundary.
+        let input = input.dense();
+        let grad_out = grad_out.dense();
+        let sample_in = g.c * g.h * g.w;
+        let sample_out = o * cols;
+        let mut grad_in = input_grad.then(|| Tensor::zeros(input.shape()));
+        let mut col = vec![0.0f32; rows * cols];
+        let mut dcol = vec![0.0f32; rows * cols];
+        // weight as [O, rows]; grad_out sample as [O, cols]. The weight
+        // operand of the dX GEMM comes from the backward-direction memo,
+        // reused across batches until the weight content changes.
+        let w_prep = input_grad
+            .then(|| bwd.prepare_tensor_cached(&self.weight.value, &mut self.bwd_weight_cache));
+        for (i, dy) in grad_out.data().chunks_exact(sample_out).enumerate() {
+            // ΔW += dY · colᵀ  — [O, cols] × [cols, rows]
+            im2col(
+                &input.data()[i * sample_in..(i + 1) * sample_in],
+                &g,
+                &mut col,
+            );
+            bwd.gemm_a_bt(o, cols, rows, dy, &col, self.weight.grad.data_mut());
+            if let (Some(gi), Some(w_prep)) = (grad_in.as_mut(), &w_prep) {
+                // dX_col = Wᵀ · dY — [rows, O] × [O, cols]
+                dcol.fill(0.0);
+                w_prep.gemm_at_b(rows, o, cols, dy, &mut dcol);
+                col2im(
+                    &dcol,
+                    &g,
+                    &mut gi.data_mut()[i * sample_in..(i + 1) * sample_in],
+                );
+            }
+        }
+        if let Some(b) = &mut self.bias {
+            for dy in grad_out.data().chunks_exact(sample_out) {
+                for (gb, dyc) in b.grad.data_mut().iter_mut().zip(dy.chunks_exact(cols)) {
+                    *gb += dyc.iter().sum::<f32>();
+                }
+            }
+        }
+        grad_in
+    }
 }
 
 impl Layer for Conv2d {
@@ -122,100 +208,13 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward before forward")
-            .dense();
-        let ish = input.shape();
-        let g = self.geom(ish);
-        let n = ish[0];
-        let o = self.out_channels();
-        let (rows, cols) = (g.col_rows(), g.col_cols());
-        let sample_in = g.c * g.h * g.w;
-        let sample_out = o * cols;
+        self.backward_impl(grad_out, true)
+            .expect("input gradient requested")
+    }
 
-        // The im2col unfold and the per-sample slicing are defined on dense
-        // values: packed activations/errors decode once here, at the
-        // storage-domain boundary.
-        let grad_out = grad_out.dense();
-        let mut grad_in = Tensor::zeros(ish);
-        let mut col = vec![0.0f32; rows * cols];
-        let mut dcol = vec![0.0f32; rows * cols];
-        // weight as [O, rows]; grad_out sample as [O, cols]. The weight
-        // operand of the dX GEMM comes from the backward-direction memo
-        // (decode-once from packed bits for the quire backend, reused
-        // across batches until the weight content changes). The quire
-        // kernel still re-packs this plane into its A panel per sample —
-        // a known, bounded cost (O(O·rows) per O(rows·O·cols) GEMM, a few
-        // percent at the LeNet shapes) that batching the per-sample GEMMs
-        // would remove at the price of restructuring col2im.
-        let w_prep = self
-            .bwd_backend
-            .prepare_tensor_cached(&self.weight.value, &mut self.bwd_weight_cache);
-        let bwd = self.bwd_backend;
-        let exact = self
-            .grad_batch
-            .filter(|_| matches!(bwd, Backend::PositQuire { .. }));
-        for i in 0..n {
-            let dy = &grad_out.data()[i * sample_out..(i + 1) * sample_out];
-            // ΔW += dY · colᵀ  — [O, cols] × [cols, rows]
-            im2col(
-                &input.data()[i * sample_in..(i + 1) * sample_in],
-                &g,
-                &mut col,
-            );
-            if let Some(total) = exact {
-                // Shard-protocol path: every per-sample product lands in
-                // the shard's quire buffer, so ΔW accumulates exactly
-                // across the *whole* batch (the legacy path rounds once
-                // per sample) and merges shard-invariantly. The encode of
-                // the dense dy/col slices is element-wise, hence identical
-                // whatever shard a sample lands in.
-                let dy_plane = bwd.quire_operand_plane(Operand::F32(dy)).unwrap();
-                let col_plane = bwd.quire_operand_plane(Operand::F32(&col)).unwrap();
-                let margin = dy_plane.quire_margin() + col_plane.quire_margin();
-                let slot = self
-                    .shard_dw
-                    .last_mut()
-                    .expect("backward outside begin_grad_shard");
-                slot.get_or_insert_with(|| {
-                    bwd.grad_quire_buf(o * rows, margin, total * cols)
-                        .expect("shard protocol requires a quire backend")
-                })
-                .accumulate_a_bt(o, cols, rows, &dy_plane, &col_plane);
-                if self.bias.is_some() {
-                    let slot = self.shard_db.last_mut().expect("shard state out of sync");
-                    slot.get_or_insert_with(|| {
-                        bwd.grad_quire_buf(o, dy_plane.quire_margin(), total * cols)
-                            .expect("shard protocol requires a quire backend")
-                    })
-                    .accumulate_row_sums(o, cols, &dy_plane);
-                }
-            } else {
-                self.bwd_backend
-                    .gemm_a_bt(o, cols, rows, dy, &col, self.weight.grad.data_mut());
-            }
-            // dX_col = Wᵀ · dY — [rows, O] × [O, cols]
-            dcol.fill(0.0);
-            w_prep.gemm_at_b(rows, o, cols, dy, &mut dcol);
-            col2im(
-                &dcol,
-                &g,
-                &mut grad_in.data_mut()[i * sample_in..(i + 1) * sample_in],
-            );
-        }
-        if exact.is_none() {
-            if let Some(b) = &mut self.bias {
-                for i in 0..n {
-                    let dy = &grad_out.data()[i * sample_out..(i + 1) * sample_out];
-                    for (oc, gb) in b.grad.data_mut().iter_mut().enumerate() {
-                        *gb += dy[oc * cols..(oc + 1) * cols].iter().sum::<f32>();
-                    }
-                }
-            }
-        }
-        grad_in
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backward_impl(grad_out, false);
+        crate::layer::note_input_grad_skipped();
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

@@ -43,6 +43,16 @@ pub trait Layer: Send {
     /// input-side error `E^{l-1}`, accumulating parameter gradients.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
+    /// Backward pass for a layer whose input gradient nobody reads (the
+    /// network's first layer): accumulates parameter gradients exactly as
+    /// [`Layer::backward`] does, and leaves every other piece of state —
+    /// checkpointed state, rounding streams — as `backward` would. Layers
+    /// override it to skip the `E^{l-1}` computation; the default runs
+    /// `backward` and drops the result.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let _ = self.backward(grad_out);
+    }
+
     /// Mutable access to the learnable parameters (empty by default).
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
@@ -115,6 +125,18 @@ pub trait Layer: Send {
     /// round each gradient element once into [`Param::grad`]. Default:
     /// no-op.
     fn end_grad_batch(&mut self) {}
+}
+
+/// Count one skipped input-gradient computation in the
+/// `nn.input_grad_skipped` counter (no-op while telemetry is off) — the
+/// GEMM layers' [`Layer::backward_params`] overrides call it.
+pub(crate) fn note_input_grad_skipped() {
+    static SKIPPED: std::sync::OnceLock<posit_obs::Counter> = std::sync::OnceLock::new();
+    if posit_obs::enabled() {
+        SKIPPED
+            .get_or_init(|| posit_obs::Registry::global().counter("nn.input_grad_skipped"))
+            .incr();
+    }
 }
 
 /// Rectified linear unit.
@@ -295,6 +317,19 @@ impl Layer for Sequential {
             g = layer.backward(&g);
         }
         g
+    }
+
+    /// Only the first child takes the parameters-only path: every later
+    /// child's input gradient feeds the child before it.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g = grad_out.clone();
+        for layer in rest.iter_mut().rev() {
+            g = layer.backward(&g);
+        }
+        first.backward_params(&g);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

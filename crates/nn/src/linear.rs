@@ -70,45 +70,10 @@ impl Linear {
     pub fn in_features(&self) -> usize {
         self.weight.value.shape()[1]
     }
-}
 
-impl Layer for Linear {
-    fn kind(&self) -> LayerKind {
-        LayerKind::Linear
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        assert_eq!(input.shape().len(), 2, "Linear input must be [N, in]");
-        assert_eq!(input.shape()[1], self.in_features(), "feature mismatch");
-        self.cached_input = Some(input.clone());
-        let n = input.shape()[0];
-        let (o, k) = (self.out_features(), self.in_features());
-        let mut out = Tensor::zeros(&[n, o]);
-        // y = x · Wᵀ — input and weight flow in whichever storage domain
-        // they arrived in (packed posit planes feed the quire kernel with
-        // no f32 staging); the decoded weight operand is memoized across
-        // calls until the weight content changes.
-        let x = self.fwd_backend.prepare_operand(input.operand());
-        let w = self
-            .fwd_backend
-            .prepare_tensor_cached(&self.weight.value, &mut self.fwd_weight_cache);
-        x.gemm_a_bt_prepared(n, k, o, &w, out.data_mut());
-        if let Some(b) = &self.bias {
-            let bv = b.value.dense();
-            for i in 0..n {
-                for (j, &v) in bv.data().iter().enumerate() {
-                    out.data_mut()[i * o + j] += v;
-                }
-            }
-        }
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    /// `ΔW += dYᵀ·X` and `Δb += Σ dY` — the parameter half of the backward
+    /// pass, shared by [`Layer::backward`] and [`Layer::backward_params`].
+    fn accumulate_param_grads(&mut self, grad_out: &Tensor) {
         let input = self.cached_input.as_ref().expect("backward before forward");
         let n = input.shape()[0];
         let (o, k) = (self.out_features(), self.in_features());
@@ -162,8 +127,51 @@ impl Layer for Linear {
                 }
             }
         }
+    }
+}
+
+impl Layer for Linear {
+    fn kind(&self) -> LayerKind {
+        LayerKind::Linear
+    }
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+        assert_eq!(input.shape().len(), 2, "Linear input must be [N, in]");
+        assert_eq!(input.shape()[1], self.in_features(), "feature mismatch");
+        self.cached_input = Some(input.clone());
+        let n = input.shape()[0];
+        let (o, k) = (self.out_features(), self.in_features());
+        let mut out = Tensor::zeros(&[n, o]);
+        // y = x · Wᵀ — input and weight flow in whichever storage domain
+        // they arrived in (packed posit planes feed the quire kernel with
+        // no f32 staging); the decoded weight operand is memoized across
+        // calls until the weight content changes.
+        let x = self.fwd_backend.prepare_operand(input.operand());
+        let w = self
+            .fwd_backend
+            .prepare_tensor_cached(&self.weight.value, &mut self.fwd_weight_cache);
+        x.gemm_a_bt_prepared(n, k, o, &w, out.data_mut());
+        if let Some(b) = &self.bias {
+            let bv = b.value.dense();
+            for i in 0..n {
+                for (j, &v) in bv.data().iter().enumerate() {
+                    out.data_mut()[i * o + j] += v;
+                }
+            }
+        }
+        out
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.accumulate_param_grads(grad_out);
         // dX = dY · W — [n, o] × [o, k]; the weight operand comes from the
         // backward-direction memo (shared with later steps until updated).
+        let n = grad_out.shape()[0];
+        let (o, k) = (self.out_features(), self.in_features());
         let mut grad_in = Tensor::zeros(&[n, k]);
         let dy = self.bwd_backend.prepare_operand(grad_out.operand());
         let w = self
@@ -171,6 +179,11 @@ impl Layer for Linear {
             .prepare_tensor_cached(&self.weight.value, &mut self.bwd_weight_cache);
         dy.gemm_prepared(n, o, k, &w, grad_in.data_mut());
         grad_in
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.accumulate_param_grads(grad_out);
+        crate::layer::note_input_grad_skipped();
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

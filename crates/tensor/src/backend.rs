@@ -476,6 +476,15 @@ impl PreparedOperand<'_> {
         }
     }
 
+    /// The quire kernel and decoded plane behind a
+    /// [`Backend::PositQuire`] preparation; `None` for the other backends.
+    pub(crate) fn quire_parts(&self) -> Option<(&PositGemm, &PositPlane)> {
+        match &self.inner {
+            Prepared::Quire { kernel, plane } => Some((kernel, plane)),
+            _ => None,
+        }
+    }
+
     /// `c += self[m,k] * b[k,n]` (`self` is the prepared `A`).
     pub fn gemm(&self, m: usize, k: usize, n: usize, b: &[f32], c: &mut [f32]) {
         self.gemm_op(m, k, n, Operand::F32(b), c);

@@ -1,6 +1,19 @@
-//! im2col/col2im convolution primitives (NCHW layout).
+//! im2col/col2im convolution primitives (NCHW layout), and the batch-wide
+//! lowering every quire-backend convolution runs through.
+//!
+//! Under [`crate::Backend::PositQuire`] a convolution is one GEMM per
+//! direction over the whole batch, gathered from a plane that is encoded
+//! once per *input element* (not once per unfolded column element, which
+//! repeats each input `KH·KW` times). `P(·)` is elementwise and `0.0`
+//! encodes to the zero element, so "encode then gather" equals "gather
+//! then encode"; the exact accumulator makes every sum independent of how
+//! the batch is grouped. The lowering is therefore bit-identical to a
+//! per-sample im2col GEMM loop.
 
+use crate::posit_gemm::{PositGemm, PositPlane, Unpacked, ZERO_ELEM};
 use crate::tensor::Tensor;
+use crate::{Backend, GradQuireBuf, PreparedOperand};
+use std::sync::OnceLock;
 
 /// Geometry of a 2-D convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,35 +54,52 @@ impl ConvGeom {
     pub fn col_cols(&self) -> usize {
         self.out_h() * self.out_w()
     }
+
+    /// Elements of one `[C,H,W]` input sample.
+    fn sample_len(&self) -> usize {
+        self.c * self.h * self.w
+    }
+
+    /// Input row of kernel row `ki` at output row `oy`, if inside the
+    /// unpadded input.
+    #[inline]
+    fn in_y(&self, oy: usize, ki: usize) -> Option<usize> {
+        (oy * self.stride + ki)
+            .checked_sub(self.pad)
+            .filter(|&iy| iy < self.h)
+    }
+
+    /// Input column of kernel column `kj` at output column `ox`, if inside
+    /// the unpadded input.
+    #[inline]
+    fn in_x(&self, ox: usize, kj: usize) -> Option<usize> {
+        (ox * self.stride + kj)
+            .checked_sub(self.pad)
+            .filter(|&ix| ix < self.w)
+    }
 }
 
-/// Unfold one `[C,H,W]` sample into the `[C*KH*KW, OH*OW]` column matrix.
-pub fn im2col(input: &[f32], g: &ConvGeom, col: &mut [f32]) {
-    debug_assert_eq!(input.len(), g.c * g.h * g.w);
-    debug_assert_eq!(col.len(), g.col_rows() * g.col_cols());
+/// Unfold one `[C,H,W]` sample into the `C*KH*KW` rows of a column matrix
+/// with leading dimension `ld`, starting at column `off` — im2col over any
+/// element type, writing into a batch-wide `[C*KH*KW, N*OH*OW]` matrix.
+fn unfold<T: Copy>(input: &[T], g: &ConvGeom, zero: T, col: &mut [T], ld: usize, off: usize) {
+    debug_assert_eq!(input.len(), g.sample_len());
     let (oh, ow) = (g.out_h(), g.out_w());
-    let cols = oh * ow;
     for c in 0..g.c {
         let plane = &input[c * g.h * g.w..(c + 1) * g.h * g.w];
         for ki in 0..g.kh {
             for kj in 0..g.kw {
                 let row = (c * g.kh + ki) * g.kw + kj;
-                let dst = &mut col[row * cols..(row + 1) * cols];
+                let dst = &mut col[row * ld + off..row * ld + off + oh * ow];
                 for oy in 0..oh {
-                    let iy = (oy * g.stride + ki) as isize - g.pad as isize;
-                    let base = oy * ow;
-                    if iy < 0 || iy >= g.h as isize {
-                        dst[base..base + ow].fill(0.0);
+                    let dst_row = &mut dst[oy * ow..(oy + 1) * ow];
+                    let Some(iy) = g.in_y(oy, ki) else {
+                        dst_row.fill(zero);
                         continue;
-                    }
-                    let src_row = &plane[iy as usize * g.w..(iy as usize + 1) * g.w];
-                    for ox in 0..ow {
-                        let ix = (ox * g.stride + kj) as isize - g.pad as isize;
-                        dst[base + ox] = if ix < 0 || ix >= g.w as isize {
-                            0.0
-                        } else {
-                            src_row[ix as usize]
-                        };
+                    };
+                    let src_row = &plane[iy * g.w..(iy + 1) * g.w];
+                    for (ox, d) in dst_row.iter_mut().enumerate() {
+                        *d = g.in_x(ox, kj).map_or(zero, |ix| src_row[ix]);
                     }
                 }
             }
@@ -77,29 +107,24 @@ pub fn im2col(input: &[f32], g: &ConvGeom, col: &mut [f32]) {
     }
 }
 
-/// Fold a `[C*KH*KW, OH*OW]` column matrix back into a `[C,H,W]` sample,
-/// *accumulating* overlapping contributions (the adjoint of [`im2col`]).
-pub fn col2im(col: &[f32], g: &ConvGeom, output: &mut [f32]) {
-    debug_assert_eq!(output.len(), g.c * g.h * g.w);
-    debug_assert_eq!(col.len(), g.col_rows() * g.col_cols());
+/// Fold the `C*KH*KW` rows of a column matrix with leading dimension `ld`,
+/// starting at column `off`, back into a `[C,H,W]` sample, *accumulating*
+/// overlapping contributions (the adjoint of [`unfold`]).
+fn fold(col: &[f32], ld: usize, off: usize, g: &ConvGeom, output: &mut [f32]) {
+    debug_assert_eq!(output.len(), g.sample_len());
     let (oh, ow) = (g.out_h(), g.out_w());
-    let cols = oh * ow;
     for c in 0..g.c {
         let plane = &mut output[c * g.h * g.w..(c + 1) * g.h * g.w];
         for ki in 0..g.kh {
             for kj in 0..g.kw {
                 let row = (c * g.kh + ki) * g.kw + kj;
-                let src = &col[row * cols..(row + 1) * cols];
+                let src = &col[row * ld + off..row * ld + off + oh * ow];
                 for oy in 0..oh {
-                    let iy = (oy * g.stride + ki) as isize - g.pad as isize;
-                    if iy < 0 || iy >= g.h as isize {
-                        continue;
-                    }
-                    let dst_row = &mut plane[iy as usize * g.w..(iy as usize + 1) * g.w];
+                    let Some(iy) = g.in_y(oy, ki) else { continue };
+                    let dst_row = &mut plane[iy * g.w..(iy + 1) * g.w];
                     for ox in 0..ow {
-                        let ix = (ox * g.stride + kj) as isize - g.pad as isize;
-                        if ix >= 0 && ix < g.w as isize {
-                            dst_row[ix as usize] += src[oy * ow + ox];
+                        if let Some(ix) = g.in_x(ox, kj) {
+                            dst_row[ix] += src[oy * ow + ox];
                         }
                     }
                 }
@@ -108,8 +133,71 @@ pub fn col2im(col: &[f32], g: &ConvGeom, output: &mut [f32]) {
     }
 }
 
-/// Forward convolution: input `[N,C,H,W]`, weight `[O,C,KH,KW]`, optional
-/// bias `[O]` → output `[N,O,OH,OW]`.
+/// Unfold one `[C,H,W]` sample into the `[C*KH*KW, OH*OW]` column matrix.
+pub fn im2col(input: &[f32], g: &ConvGeom, col: &mut [f32]) {
+    debug_assert_eq!(col.len(), g.col_rows() * g.col_cols());
+    unfold(input, g, 0.0, col, g.col_cols(), 0);
+}
+
+/// Fold a `[C*KH*KW, OH*OW]` column matrix back into a `[C,H,W]` sample,
+/// *accumulating* overlapping contributions (the adjoint of [`im2col`]).
+pub fn col2im(col: &[f32], g: &ConvGeom, output: &mut [f32]) {
+    debug_assert_eq!(col.len(), g.col_rows() * g.col_cols());
+    fold(col, g.col_cols(), 0, g, output);
+}
+
+/// Append one `[C,H,W]` sample's receptive fields to `panel` as `OH*OW`
+/// rows of `C*KH*KW` elements — the transposed unfold, already in the
+/// `Bᵀ` panel layout [`PositGemm::gemm_a_bt`] consumes, so the forward
+/// GEMM packs nothing.
+fn gather_patches(input: &[Unpacked], g: &ConvGeom, panel: &mut Vec<Unpacked>) {
+    debug_assert_eq!(input.len(), g.sample_len());
+    for oy in 0..g.out_h() {
+        for ox in 0..g.out_w() {
+            for c in 0..g.c {
+                let plane = &input[c * g.h * g.w..(c + 1) * g.h * g.w];
+                for ki in 0..g.kh {
+                    let Some(iy) = g.in_y(oy, ki) else {
+                        panel.resize(panel.len() + g.kw, ZERO_ELEM);
+                        continue;
+                    };
+                    let src_row = &plane[iy * g.w..(iy + 1) * g.w];
+                    panel.extend(
+                        (0..g.kw).map(|kj| g.in_x(ox, kj).map_or(ZERO_ELEM, |ix| src_row[ix])),
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Byte budget of one gathered operand panel in the lowered quire
+/// convolutions: samples are processed in blocks whose panel stays under
+/// it. Exact accumulation makes every block size bit-identical, so this
+/// bounds memory only — a quire-backend ResNet's whole-batch panels would
+/// otherwise reach tens of MB.
+const PANEL_BYTES: usize = 8 << 20;
+
+/// Samples per lowered block under [`PANEL_BYTES`] (at least one).
+fn block_samples(g: &ConvGeom) -> usize {
+    let per_sample = g.col_rows() * g.col_cols() * std::mem::size_of::<Unpacked>();
+    (PANEL_BYTES / per_sample.max(1)).max(1)
+}
+
+/// Count one lowered (batch-wide) quire convolution call in the
+/// `tensor.conv.lowered_calls` counter (no-op while telemetry is off).
+fn note_lowered_call() {
+    static LOWERED: OnceLock<posit_obs::Counter> = OnceLock::new();
+    if posit_obs::enabled() {
+        LOWERED
+            .get_or_init(|| posit_obs::Registry::global().counter("tensor.conv.lowered_calls"))
+            .incr();
+    }
+}
+
+/// Forward convolution on the f32 kernels: input `[N,C,H,W]`, weight
+/// `[O,C,KH,KW]`, optional bias `[O]` → output `[N,O,OH,OW]`. Other
+/// backends go through [`conv2d_prepared`].
 ///
 /// # Panics
 ///
@@ -121,48 +209,31 @@ pub fn conv2d(
     stride: usize,
     pad: usize,
 ) -> Tensor {
-    conv2d_with(crate::Backend::F32, input, weight, bias, stride, pad)
-}
-
-/// [`conv2d`] under an explicit compute [`crate::Backend`]: the per-sample
-/// im2col GEMM runs on the selected kernel family.
-///
-/// The weight tile is prepared once per call and reused across every
-/// sample in the batch: a posit-packed weight tensor matching a
-/// [`crate::Backend::PositQuire`] format is decoded into a plane straight
-/// from its code words (no f32 staging); f32 weights are decoded/quantized
-/// once per call — the decode-once contract extended over the batch
-/// dimension. A posit-packed *input* is decoded once at the im2col unfold
-/// (the unfold is a gather, defined on dense values).
-///
-/// # Panics
-///
-/// Panics on shape mismatches.
-pub fn conv2d_with(
-    backend: crate::Backend,
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&[f32]>,
-    stride: usize,
-    pad: usize,
-) -> Tensor {
-    // Prepare the weight operand once for the whole batch (decode-once
-    // from packed bits or f32 for the quire backend, quantize-once for
-    // the emulated one).
-    let w_prep = backend.prepare_operand(weight.operand());
+    let w_prep = Backend::F32.prepare_operand(weight.operand());
     conv2d_prepared(&w_prep, weight.shape(), input, bias, stride, pad)
 }
 
-/// [`conv2d_with`] over an already-prepared weight operand (`weight_shape`
-/// is its `[O,C,KH,KW]` shape) — the entry point for a weight tile cached
-/// across calls (see [`crate::Backend::prepare_tensor_cached`]), which
-/// skips even the once-per-call weight preparation of [`conv2d_with`].
+/// Forward convolution under the backend a weight operand was prepared
+/// with (`weight_shape` is its `[O,C,KH,KW]` shape): prepare once per call
+/// with [`crate::Backend::prepare_operand`], or once per weight update
+/// with [`crate::Backend::prepare_tensor_cached`]. A posit-packed weight
+/// matching a [`crate::Backend::PositQuire`] format is decoded straight
+/// from its code words.
+///
+/// The f32 and emulated backends run one im2col GEMM per sample. The
+/// quire backend lowers the batch instead: the input is encoded once
+/// under the kernel's format and rounding, its decoded elements are
+/// gathered straight into the `[N·OH·OW, C·KH·KW]` panel, and one GEMM
+/// per block of samples runs before the scatter to `[N,O,OH,OW]`. A
+/// packed input is decoded to f32 and re-encoded, exactly as a per-sample
+/// unfold would see it: its Eq. 2 scale is not folded into the gathered
+/// elements.
 ///
 /// # Panics
 ///
 /// Panics on shape mismatches.
 pub fn conv2d_prepared(
-    w_prep: &crate::PreparedOperand<'_>,
+    w_prep: &PreparedOperand<'_>,
     weight_shape: &[usize],
     input: &Tensor,
     bias: Option<&[f32]>,
@@ -183,28 +254,193 @@ pub fn conv2d_prepared(
         stride,
         pad,
     };
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let mut out = Tensor::zeros(&[n, o, oh, ow]);
-    let mut col = vec![0.0f32; g.col_rows() * g.col_cols()];
-    let sample = g.c * g.h * g.w;
-    let out_sample = o * oh * ow;
-    // Decode a packed input once for the unfold (the unfold is a gather,
-    // defined on dense values).
+    let mut out = Tensor::zeros(&[n, o, g.out_h(), g.out_w()]);
     let input = input.dense();
-    let out_data = out.data_mut();
-    for i in 0..n {
-        im2col(&input.data()[i * sample..(i + 1) * sample], &g, &mut col);
-        let dst = &mut out_data[i * out_sample..(i + 1) * out_sample];
-        w_prep.gemm(o, g.col_rows(), g.col_cols(), &col, dst);
-        if let Some(b) = bias {
-            for (oc, &bv) in b.iter().enumerate() {
-                for v in &mut dst[oc * oh * ow..(oc + 1) * oh * ow] {
-                    *v += bv;
-                }
+    if let Some((kernel, w_plane)) = w_prep.quire_parts() {
+        let x = kernel.encode_plane(input.data());
+        forward_lowered(
+            kernel,
+            w_plane,
+            o,
+            &g,
+            &x,
+            bias,
+            out.data_mut(),
+            block_samples(&g),
+        );
+        return out;
+    }
+    let (rows, cols) = (g.col_rows(), g.col_cols());
+    let mut col = vec![0.0f32; rows * cols];
+    let sample = g.sample_len();
+    for (x, dst) in input
+        .data()
+        .chunks_exact(sample)
+        .zip(out.data_mut().chunks_exact_mut(o * cols))
+    {
+        im2col(x, &g, &mut col);
+        w_prep.gemm(o, rows, cols, &col, dst);
+        add_bias(dst, bias, cols);
+    }
+    out
+}
+
+/// `dst[oc, ·] += bias[oc]` over one `[O, cols]` output sample.
+fn add_bias(dst: &mut [f32], bias: Option<&[f32]>, cols: usize) {
+    if let Some(b) = bias {
+        for (row, &bv) in dst.chunks_exact_mut(cols).zip(b) {
+            for v in row {
+                *v += bv;
             }
         }
     }
-    out
+}
+
+/// The lowered quire forward over an encoded `[N,C,H,W]` input plane, in
+/// blocks of `block` samples: gather, one `gemm_a_bt`, scatter + bias.
+#[allow(clippy::too_many_arguments)]
+fn forward_lowered(
+    kernel: &PositGemm,
+    w_plane: &PositPlane,
+    o: usize,
+    g: &ConvGeom,
+    x: &PositPlane,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    block: usize,
+) {
+    note_lowered_call();
+    let (rows, cols, sample) = (g.col_rows(), g.col_cols(), g.sample_len());
+    let blocks = x
+        .elems()
+        .chunks(block * sample)
+        .zip(out.chunks_mut(block * o * cols));
+    for (xs, outs) in blocks {
+        let nb = xs.len() / sample;
+        let width = nb * cols;
+        let mut panel = Vec::with_capacity(width * rows);
+        for xi in xs.chunks_exact(sample) {
+            gather_patches(xi, g, &mut panel);
+        }
+        let panel = PositPlane::from_elems(kernel.format(), 0, panel);
+        let mut y = vec![0.0f32; o * width];
+        kernel.gemm_a_bt(o, rows, width, w_plane, &panel, &mut y);
+        for (bi, dst) in outs.chunks_exact_mut(o * cols).enumerate() {
+            for (oc, d) in dst.chunks_exact_mut(cols).enumerate() {
+                d.copy_from_slice(&y[oc * width + bi * cols..][..cols]);
+            }
+            add_bias(dst, bias, cols);
+        }
+    }
+}
+
+/// The batch-wide backward of a quire-backend convolution under the exact
+/// shard protocol: input `[N,C,H,W]` (the forward's input), `grad_out`
+/// `[N,O,OH,OW]`.
+///
+/// - `ΔW += dY·colᵀ` accumulates into `dw` (`O × C·KH·KW` accumulators)
+///   and `Δb += Σ dY` into `db` (`O` accumulators), with dY permuted to
+///   `[O, N·OH·OW]` and the input — encoded once under `backend` — gathered
+///   to `[C·KH·KW, N·OH·OW]`;
+/// - with a `weight` (the `[O, C·KH·KW]` weight prepared under `backend`),
+///   `dX` is one `gemm_at_b` followed by col2im per sample, returned as
+///   `[N,C,H,W]`; without one no input gradient is computed (`None`).
+///
+/// Every value is bit-identical to a per-sample loop feeding the same
+/// buffers, whatever the batch's shard split: the buffers sum exactly and
+/// each `dX` element is one rounded dot product.
+///
+/// # Panics
+///
+/// Panics if `backend` is not [`Backend::PositQuire`], if `weight` was
+/// prepared under another backend, or on shape/buffer mismatches.
+pub fn conv2d_backward_exact(
+    backend: Backend,
+    g: &ConvGeom,
+    input: &Tensor,
+    grad_out: &Tensor,
+    dw: &mut GradQuireBuf,
+    db: Option<&mut GradQuireBuf>,
+    weight: Option<&PreparedOperand<'_>>,
+) -> Option<Tensor> {
+    let Backend::PositQuire { fmt, rounding } = backend else {
+        panic!("conv2d_backward_exact requires the quire backend");
+    };
+    let kernel = PositGemm::new(fmt, rounding);
+    let n = input.shape()[0];
+    assert_eq!(input.shape(), [n, g.c, g.h, g.w], "input shape");
+    let o = grad_out.shape()[1];
+    assert_eq!(
+        grad_out.shape(),
+        [n, o, g.out_h(), g.out_w()],
+        "grad_out shape"
+    );
+    let w_plane = weight.map(|w| {
+        let (wk, plane) = w
+            .quire_parts()
+            .expect("weight prepared under the quire backend");
+        assert_eq!(*wk, kernel, "weight prepared under another backend");
+        plane
+    });
+    let x = kernel.encode_plane(input.dense().data());
+    let mut grad_in = w_plane.map(|_| Tensor::zeros(input.shape()));
+    let dx = w_plane.zip(grad_in.as_mut().map(|t| t.data_mut()));
+    let dy = grad_out.dense();
+    backward_lowered(&kernel, g, &x, dy.data(), dw, db, dx, block_samples(g));
+    grad_in
+}
+
+/// [`conv2d_backward_exact`] over an encoded input plane and dense dY, in
+/// blocks of `block` samples; `dx` pairs the weight plane with the
+/// `[N,C,H,W]` output.
+#[allow(clippy::too_many_arguments)]
+fn backward_lowered(
+    kernel: &PositGemm,
+    g: &ConvGeom,
+    x: &PositPlane,
+    dy: &[f32],
+    dw: &mut GradQuireBuf,
+    mut db: Option<&mut GradQuireBuf>,
+    mut dx: Option<(&PositPlane, &mut [f32])>,
+    block: usize,
+) {
+    note_lowered_call();
+    let (rows, cols, sample) = (g.col_rows(), g.col_cols(), g.sample_len());
+    let n = x.len() / sample;
+    let o = dy.len() / (n * cols).max(1);
+    for s0 in (0..n).step_by(block) {
+        let s1 = (s0 + block).min(n);
+        let width = (s1 - s0) * cols;
+        let mut dyp = vec![0.0f32; o * width];
+        let mut col = vec![ZERO_ELEM; rows * width];
+        for (bi, i) in (s0..s1).enumerate() {
+            for oc in 0..o {
+                dyp[oc * width + bi * cols..][..cols]
+                    .copy_from_slice(&dy[(i * o + oc) * cols..][..cols]);
+            }
+            let xi = &x.elems()[i * sample..(i + 1) * sample];
+            unfold(xi, g, ZERO_ELEM, &mut col, width, bi * cols);
+        }
+        let dy_plane = kernel.encode_plane(&dyp);
+        let col = PositPlane::from_elems(kernel.format(), 0, col);
+        dw.accumulate_a_bt(o, width, rows, &dy_plane, &col);
+        if let Some(db) = db.as_deref_mut() {
+            db.accumulate_row_sums(o, width, &dy_plane);
+        }
+        if let Some((w_plane, out)) = dx.as_mut() {
+            let mut dcol = vec![0.0f32; rows * width];
+            kernel.gemm_at_b(rows, o, width, w_plane, &dy_plane, &mut dcol);
+            for (bi, i) in (s0..s1).enumerate() {
+                fold(
+                    &dcol,
+                    width,
+                    bi * cols,
+                    g,
+                    &mut out[i * sample..(i + 1) * sample],
+                );
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -350,8 +586,61 @@ mod tests {
                 rounding: Rounding::NearestEven,
             },
         ] {
-            let got = conv2d_with(backend, &input, &weight, None, 1, 1);
+            let w_prep = backend.prepare_operand(weight.operand());
+            let got = conv2d_prepared(&w_prep, weight.shape(), &input, None, 1, 1);
             assert_eq!(got.data(), want.data(), "{}", backend.name());
+        }
+    }
+
+    #[test]
+    fn lowered_block_size_never_changes_a_bit() {
+        // The panel budget bounds memory only: every sample block size
+        // must give the same y, dX, ΔW and Δb bits.
+        use posit::{PositFormat, Rounding};
+        let fmt = PositFormat::of(8, 1);
+        let kernel = PositGemm::new(fmt, Rounding::NearestEven);
+        let g = ConvGeom {
+            c: 2,
+            h: 6,
+            w: 6,
+            kh: 3,
+            kw: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let (n, o) = (5, 3);
+        let (rows, cols) = (g.col_rows(), g.col_cols());
+        let mut rng = Prng::seed(21);
+        let mut draw =
+            |len: usize| -> Vec<f32> { (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect() };
+        let x = kernel.encode_plane(&draw(n * g.sample_len()));
+        let w = kernel.encode_plane(&draw(o * rows));
+        let dy = draw(n * o * cols);
+        let bias = draw(o);
+        let run = |block: usize| {
+            let mut y = vec![0.0f32; n * o * cols];
+            forward_lowered(&kernel, &w, o, &g, &x, Some(&bias), &mut y, block);
+            let mut dw = GradQuireBuf::new(fmt, Rounding::NearestEven, 0, n * cols, o * rows);
+            let mut db = GradQuireBuf::new(fmt, Rounding::NearestEven, 0, n * cols, o);
+            let mut dx = vec![0.0f32; n * g.sample_len()];
+            backward_lowered(
+                &kernel,
+                &g,
+                &x,
+                &dy,
+                &mut dw,
+                Some(&mut db),
+                Some((&w, &mut dx)),
+                block,
+            );
+            let mut grads = vec![0.0f32; o * rows + o];
+            dw.round_into(&mut grads[..o * rows]);
+            db.round_into(&mut grads[o * rows..]);
+            (y, dx, grads)
+        };
+        let want = run(n);
+        for block in [1, 2, 3] {
+            assert_eq!(run(block), want, "block {block}");
         }
     }
 

@@ -19,7 +19,7 @@
 //! element conventions, and a single [`GradQuireBuf::round_into`] at the
 //! end of the batch.
 
-use crate::posit_gemm::{PositPlane, Unpacked};
+use crate::posit_gemm::{note_kstrip_tally, KStrip, PositPlane, Unpacked, BUCKET_SLOTS, MRB, NRB};
 use posit::{NarrowQuire, PositFormat, Quire, Rounding};
 
 /// One exact quire accumulator per gradient element, mergeable across
@@ -172,7 +172,15 @@ impl GradQuireBuf {
 
     /// `buf[m,n] += a[m,k]·bᵀ[k,n]` with `b` stored `[n, k]` — the exact
     /// accumulation twin of [`crate::PositGemm::gemm_a_bt`]. This is the
-    /// conv layer's per-sample `ΔW += dY·colᵀ` shape.
+    /// conv layer's batch-wide `ΔW += dY·colᵀ` shape (`k` spans every
+    /// output position of every sample in the call).
+    ///
+    /// Narrow buffers run the GEMM's K-strip register tile straight into
+    /// the stored accumulators: `i32` fraction products summed into `i64`
+    /// buckets per scale, flushed with [`NarrowQuire::add_group`], over
+    /// panels zero-padded to whole tiles. Wide buffers, and formats whose
+    /// fraction words do not fit the tile, take the per-MAC loop. Both
+    /// compute the same exact sums.
     ///
     /// # Panics
     ///
@@ -190,7 +198,44 @@ impl GradQuireBuf {
         assert_eq!(a.len(), m * k, "A length");
         assert_eq!(b_t.len(), n * k, "B^T length");
         assert_eq!(self.len(), m * n, "buffer length");
+        if m == 0 || n == 0 {
+            return;
+        }
         let (ae, be) = (a.elems(), b_t.elems());
+        if let (Accs::Narrow(accs), Some(ks)) = (&mut self.accs, KStrip::new(self.fmt, self.margin))
+        {
+            let (mp, np) = (m.next_multiple_of(MRB), n.next_multiple_of(NRB));
+            let ap = ks.a_panel(ae, m, mp, k);
+            let bp = ks.b_panel(be, n, np, k);
+            let mut zero = accs[0];
+            zero.clear();
+            let obs_on = posit_obs::enabled();
+            let mut tally = [0u64; 2];
+            let mut buckets = [[0i64; BUCKET_SLOTS]; MRB * NRB];
+            for i in (0..mp).step_by(MRB) {
+                for j in (0..np).step_by(NRB) {
+                    let mut tile = [[zero; NRB]; MRB];
+                    ks.tile(
+                        &mut tile,
+                        &mut buckets,
+                        &ap,
+                        i,
+                        &bp,
+                        j,
+                        k,
+                        obs_on,
+                        &mut tally,
+                    );
+                    for (r, row) in tile.iter().enumerate().take(m - i) {
+                        for (s, q) in row.iter().enumerate().take(n - j) {
+                            accs[(i + r) * n + j + s].merge_from(q);
+                        }
+                    }
+                }
+            }
+            note_kstrip_tally(tally);
+            return;
+        }
         for i in 0..m {
             let a_run = &ae[i * k..(i + 1) * k];
             for j in 0..n {
@@ -367,6 +412,47 @@ mod tests {
         let mut got = vec![0.0f32; o * feat];
         buf.round_into(&mut got);
         assert_eq!(got, want, "a_bt");
+    }
+
+    #[test]
+    fn kstrip_a_bt_matches_the_per_mac_loop() {
+        // The tiled K-strip body against the per-element `mac` loop, over
+        // ragged m/n (zero-padded tiles), NaR and zero elements, and
+        // scale-shifted planes that use the construction margin.
+        for (n_bits, es) in [(8u32, 1u32), (8, 2), (16, 1)] {
+            let fmt = PositFormat::of(n_bits, es);
+            for (m, k, n, sa, sb) in [(1, 5, 1, 0, 0), (6, 40, 75, 0, 0), (5, 9, 7, 3, -2)] {
+                let draw = |len: usize, salt: usize| -> PositPlane {
+                    let mut bits = crate::storage::PackedBits::for_format(fmt, len);
+                    for i in 0..len {
+                        let v = ((i * 37 + salt * 11) % 29) as f32 * 0.25 - 3.5;
+                        let v = if i % 13 == 5 { 0.0 } else { v };
+                        bits.push(fmt.from_f32(v, Rounding::NearestEven));
+                    }
+                    if len > 3 {
+                        bits.set(len / 2, fmt.nar_bits());
+                    }
+                    PositPlane::from_packed(fmt, &bits, if salt == 0 { sa } else { sb })
+                };
+                let (a, b) = (draw(m * k, 0), draw(n * k, 1));
+                let margin = a.quire_margin() + b.quire_margin();
+                let mut tiled = GradQuireBuf::new(fmt, Rounding::NearestEven, margin, k, m * n);
+                tiled.accumulate_a_bt(m, k, n, &a, &b);
+                let mut oracle = GradQuireBuf::new(fmt, Rounding::NearestEven, margin, k, m * n);
+                for i in 0..m {
+                    for j in 0..n {
+                        for t in 0..k {
+                            oracle.mac(i * n + j, a.elems()[i * k + t], b.elems()[j * k + t]);
+                        }
+                    }
+                }
+                let (mut got, mut want) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+                tiled.round_into(&mut got);
+                oracle.round_into(&mut want);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{fmt} ({m},{k},{n})");
+            }
+        }
     }
 
     #[test]

@@ -137,7 +137,7 @@ pub struct Unpacked {
     _pad2: u8,
 }
 
-const ZERO_ELEM: Unpacked = Unpacked {
+pub(crate) const ZERO_ELEM: Unpacked = Unpacked {
     sig: 0,
     scale: 0,
     neg: false,
@@ -258,6 +258,16 @@ pub struct PositPlane {
 }
 
 impl PositPlane {
+    /// A plane over already-unpacked elements (e.g. a gather of another
+    /// plane's elements), carrying `scale_exp` as its folded shift.
+    pub(crate) fn from_elems(fmt: PositFormat, scale_exp: i32, elems: Vec<Unpacked>) -> PositPlane {
+        PositPlane {
+            fmt,
+            scale_exp,
+            elems,
+        }
+    }
+
     /// Decode a slice of code words (low `n` bits of each `u64`).
     ///
     /// Narrow (`n ≤ 8`) formats gather through the same 256-entry
@@ -490,7 +500,7 @@ const KSTRIP: usize = 8192;
 /// sentinels lift out into per-row flags (NaR absorbs the whole reduction
 /// regardless of its partner, so a flag per panel row replaces the per-MAC
 /// check).
-struct BatchPanel {
+pub(crate) struct BatchPanel {
     /// Per element: the signed fraction word `±(sig >> (64-width))` (0 for
     /// zero and NaR elements). Kept separate from the scale byte so the
     /// micro-kernel's lane reads are plain sign-extending loads.
@@ -521,14 +531,14 @@ const SMAX_EMPTY: i32 = i32::MIN / 2;
 /// eligibility bounds the bucket count by `4·max_scale + 2·margin + 1 ≤
 /// 126`, so a power-of-two 128 always fits and lets the hot loop index
 /// with a mask instead of a bounds check.
-const BUCKET_SLOTS: usize = 128;
+pub(crate) const BUCKET_SLOTS: usize = 128;
 
 /// Rows per register tile of the *batched* micro-kernel (wider than the
 /// scalar tile: its per-`k` state is a handful of `i32`s, not `i128`
 /// accumulators, so more rows amortize the B-panel loads further).
-const MRB: usize = 4;
+pub(crate) const MRB: usize = 4;
 /// Columns per register tile of the batched micro-kernel.
-const NRB: usize = 4;
+pub(crate) const NRB: usize = 4;
 
 /// One batched MAC: multiply the fraction words, index the bucket by the
 /// wrapping byte sum of the scale bytes. The mask is a proven no-op for
@@ -545,21 +555,28 @@ impl BatchPanel {
     /// stored scale (`emin` for the A panel, 0 for B); `zero_scale` is the
     /// raw scale recorded for zero/NaR elements — any value a finite
     /// element could legally carry keeps their (zero) products in range.
+    ///
+    /// Rows `rows..padded` are appended as all-zero rows (no NaR, no
+    /// touched bucket), so a caller can run whole register tiles over a
+    /// ragged edge: a zero row contributes nothing to any sum.
+    #[allow(clippy::too_many_arguments)]
     fn build(
         src: &[Unpacked],
         rows: usize,
+        padded: usize,
         k: usize,
         width: u32,
         bias: i32,
         zero_scale: i32,
     ) -> BatchPanel {
         debug_assert_eq!(src.len(), rows * k);
+        debug_assert!(padded >= rows);
         let strips = k.div_ceil(KSTRIP).max(1);
-        let mut sig = Vec::with_capacity(rows * k);
-        let mut sc = Vec::with_capacity(rows * k);
-        let mut nar = vec![false; rows];
-        let mut smin = vec![SMIN_EMPTY; rows * strips];
-        let mut smax = vec![SMAX_EMPTY; rows * strips];
+        let mut sig = Vec::with_capacity(padded * k);
+        let mut sc = Vec::with_capacity(padded * k);
+        let mut nar = vec![false; padded];
+        let mut smin = vec![SMIN_EMPTY; padded * strips];
+        let mut smax = vec![SMAX_EMPTY; padded * strips];
         for r in 0..rows {
             for (t, e) in src[r * k..(r + 1) * k].iter().enumerate() {
                 if e.sig == 0 {
@@ -577,6 +594,8 @@ impl BatchPanel {
                 }
             }
         }
+        sig.resize(padded * k, 0);
+        sc.resize(padded * k, (zero_scale - bias) as u8);
         BatchPanel {
             sig,
             sc,
@@ -585,6 +604,187 @@ impl BatchPanel {
             smax,
             strips,
         }
+    }
+}
+
+/// Per-call geometry of the K-strip batched kernel for one format and
+/// operand margin: the fraction-word width, the bucket bias and the
+/// bucket count. Shared by the GEMM kernels and the exact gradient
+/// buffers ([`crate::GradQuireBuf`]), which run the same register tile
+/// into accumulators that live across calls.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KStrip {
+    width: u32,
+    emin: i32,
+    buckets: usize,
+    min_scale: i32,
+}
+
+/// Per-tile bucket scratch of the K-strip kernel.
+pub(crate) type KStripBuckets = [[i64; BUCKET_SLOTS]; MRB * NRB];
+
+impl KStrip {
+    /// The geometry for `fmt` products whose planes carry `margin` total
+    /// scale-shift bits, or `None` when the fraction words would not
+    /// multiply inside an `i32` (`2·width ≤ 30`; every format the paper
+    /// trains with passes) or the bucket span exceeds [`BUCKET_SLOTS`]
+    /// (unreachable under narrow eligibility).
+    pub(crate) fn new(fmt: PositFormat, margin: u32) -> Option<KStrip> {
+        let width = fmt
+            .n()
+            .checked_sub(2 + fmt.es())
+            .filter(|&w| (1..=15).contains(&w))?;
+        let buckets = (4 * fmt.max_scale() + 2 * margin as i32 + 1) as usize;
+        (buckets <= BUCKET_SLOTS).then_some(KStrip {
+            width,
+            emin: 2 * fmt.min_scale() - margin as i32,
+            buckets,
+            min_scale: fmt.min_scale(),
+        })
+    }
+
+    /// Narrow an `[rows, k]` A panel (rows zero-padded to `padded`).
+    pub(crate) fn a_panel(
+        &self,
+        src: &[Unpacked],
+        rows: usize,
+        padded: usize,
+        k: usize,
+    ) -> BatchPanel {
+        BatchPanel::build(src, rows, padded, k, self.width, self.emin, self.min_scale)
+    }
+
+    /// Narrow an `[rows, k]` B panel (rows zero-padded to `padded`).
+    pub(crate) fn b_panel(
+        &self,
+        src: &[Unpacked],
+        rows: usize,
+        padded: usize,
+        k: usize,
+    ) -> BatchPanel {
+        BatchPanel::build(src, rows, padded, k, self.width, 0, 0)
+    }
+
+    /// Accumulate one `MRB×NRB` register tile — A panel rows `i..i+MRB`
+    /// against B panel rows `j..j+NRB` over the whole depth `k` — into
+    /// `acc`. Within a strip every product is a narrow `i32` multiply plus
+    /// an indexed add into an `i64` bucket per `scale_sum`; at the strip
+    /// boundary each touched bucket flushes with **one** `i128` shift-add
+    /// ([`NarrowQuire::add_group`]). A NaR anywhere in a panel row
+    /// poisons that row's outputs. `tally` counts flushed strips and
+    /// touched buckets while `obs_on`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub(crate) fn tile(
+        &self,
+        acc: &mut [[NarrowQuire; NRB]; MRB],
+        buckets: &mut KStripBuckets,
+        ap: &BatchPanel,
+        i: usize,
+        bp: &BatchPanel,
+        j: usize,
+        k: usize,
+        obs_on: bool,
+        tally: &mut [u64; 2],
+    ) {
+        let strips = ap.strips;
+        debug_assert_eq!(strips, bp.strips);
+        let a0s = &ap.sig[i * k..(i + 1) * k];
+        let a1s = &ap.sig[(i + 1) * k..(i + 2) * k];
+        let a2s = &ap.sig[(i + 2) * k..(i + 3) * k];
+        let a3s = &ap.sig[(i + 3) * k..(i + 4) * k];
+        let a0e = &ap.sc[i * k..(i + 1) * k];
+        let a1e = &ap.sc[(i + 1) * k..(i + 2) * k];
+        let a2e = &ap.sc[(i + 2) * k..(i + 3) * k];
+        let a3e = &ap.sc[(i + 3) * k..(i + 4) * k];
+        let b0s = &bp.sig[j * k..(j + 1) * k];
+        let b1s = &bp.sig[(j + 1) * k..(j + 2) * k];
+        let b2s = &bp.sig[(j + 2) * k..(j + 3) * k];
+        let b3s = &bp.sig[(j + 3) * k..(j + 4) * k];
+        let b0e = &bp.sc[j * k..(j + 1) * k];
+        let b1e = &bp.sc[(j + 1) * k..(j + 2) * k];
+        let b2e = &bp.sc[(j + 2) * k..(j + 3) * k];
+        let b3e = &bp.sc[(j + 3) * k..(j + 4) * k];
+        let mut t0 = 0;
+        let mut strip = 0;
+        while t0 < k {
+            let t1 = (t0 + KSTRIP).min(k);
+            let [bk00, bk01, bk02, bk03, bk10, bk11, bk12, bk13, bk20, bk21, bk22, bk23, bk30, bk31, bk32, bk33] =
+                &mut *buckets;
+            for t in t0..t1 {
+                // Each lane read is one sign-extending (fraction) or
+                // zero-extending (scale byte) load; every lane then feeds
+                // NRB (or MRB) MACs.
+                let (x0s, x0e) = (a0s[t], a0e[t]);
+                let (x1s, x1e) = (a1s[t], a1e[t]);
+                let (x2s, x2e) = (a2s[t], a2e[t]);
+                let (x3s, x3e) = (a3s[t], a3e[t]);
+                let (y0s, y0e) = (b0s[t], b0e[t]);
+                let (y1s, y1e) = (b1s[t], b1e[t]);
+                let (y2s, y2e) = (b2s[t], b2e[t]);
+                let (y3s, y3e) = (b3s[t], b3e[t]);
+                batch_mac(bk00, x0s, x0e, y0s, y0e);
+                batch_mac(bk01, x0s, x0e, y1s, y1e);
+                batch_mac(bk02, x0s, x0e, y2s, y2e);
+                batch_mac(bk03, x0s, x0e, y3s, y3e);
+                batch_mac(bk10, x1s, x1e, y0s, y0e);
+                batch_mac(bk11, x1s, x1e, y1s, y1e);
+                batch_mac(bk12, x1s, x1e, y2s, y2e);
+                batch_mac(bk13, x1s, x1e, y3s, y3e);
+                batch_mac(bk20, x2s, x2e, y0s, y0e);
+                batch_mac(bk21, x2s, x2e, y1s, y1e);
+                batch_mac(bk22, x2s, x2e, y2s, y2e);
+                batch_mac(bk23, x2s, x2e, y3s, y3e);
+                batch_mac(bk30, x3s, x3e, y0s, y0e);
+                batch_mac(bk31, x3s, x3e, y1s, y1e);
+                batch_mac(bk32, x3s, x3e, y2s, y2e);
+                batch_mac(bk33, x3s, x3e, y3s, y3e);
+            }
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                let alo = ap.smin[(i + r) * strips + strip];
+                let ahi = ap.smax[(i + r) * strips + strip];
+                for (s, q) in acc_row.iter_mut().enumerate() {
+                    let lo = alo + bp.smin[(j + s) * strips + strip];
+                    let hi = ahi + bp.smax[(j + s) * strips + strip];
+                    if lo > hi {
+                        continue; // strip touched no bucket for this output
+                    }
+                    debug_assert!(lo >= 0 && (hi as usize) < self.buckets);
+                    if obs_on {
+                        tally[0] += 1;
+                    }
+                    let bk = &mut buckets[r * NRB + s];
+                    for idx in lo as usize..=hi as usize {
+                        let v = bk[idx & (BUCKET_SLOTS - 1)];
+                        if v != 0 {
+                            if obs_on {
+                                tally[1] += 1;
+                            }
+                            q.add_group(idx as i32 + self.emin, self.width, v);
+                            bk[idx & (BUCKET_SLOTS - 1)] = 0;
+                        }
+                    }
+                }
+            }
+            t0 = t1;
+            strip += 1;
+        }
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            for (s, q) in acc_row.iter_mut().enumerate() {
+                if ap.nar[i + r] || bp.nar[j + s] {
+                    q.set_nar();
+                }
+            }
+        }
+    }
+}
+
+/// Post one row block's K-strip flush tally (see [`KStrip::tile`]).
+pub(crate) fn note_kstrip_tally(tally: [u64; 2]) {
+    if posit_obs::enabled() {
+        let o = gemm_obs();
+        o.kstrips_flushed.add(tally[0]);
+        o.bucket_touches.add(tally[1]);
     }
 }
 
@@ -607,9 +807,12 @@ pub enum KStripMode {
 }
 
 /// Minimum reduction depth at which [`KStripMode::Auto`] batches: shallow
-/// reductions (small convolutions — `conv1` has `k = 25`) flush buckets so
+/// reductions (a 1-channel LeNet `conv1` has `k = 25`) flush buckets so
 /// often that the per-MAC savings drown in flush scans, and the scalar
-/// tile wins. `conv2` (`k = 150`) already gains ~1.6× from batching.
+/// tile wins. The 3-channel `conv1` (`k = 75`) breaks even — K-strip and
+/// scalar both take about 8.1 ms for its batch-32 lowered forward
+/// `[6,75]×[75,4608]` — and `conv2` (`k = 150`) already gains ~1.6× from
+/// batching.
 const KSTRIP_AUTO_MIN_K: usize = 48;
 
 /// The posit GEMM kernel family: exact accumulation over [`PositPlane`]
@@ -727,22 +930,8 @@ impl PositGemm {
         // Narrow both panels once per call when the K-strip batched kernel
         // is selected (the panels are shared read-only across row blocks).
         let batch = if narrow.is_some() && self.uses_kstrip_path(margin, k) {
-            self.fmt
-                .n()
-                .checked_sub(2 + self.fmt.es())
-                // The fraction words must multiply inside an i32 (2·width
-                // ≤ 30); every format the paper trains with passes.
-                .filter(|&w| (1..=15).contains(&w))
-                .and_then(|width| {
-                    let emin = 2 * self.fmt.min_scale() - margin as i32;
-                    let buckets = (4 * self.fmt.max_scale() + 2 * margin as i32 + 1) as usize;
-                    if buckets > BUCKET_SLOTS {
-                        return None; // unreachable under narrow eligibility
-                    }
-                    let ap = BatchPanel::build(a_rows, m, k, width, emin, self.fmt.min_scale());
-                    let bp = BatchPanel::build(b_cols, n, k, width, 0, 0);
-                    Some((ap, bp, width, emin, buckets))
-                })
+            KStrip::new(self.fmt, margin)
+                .map(|ks| (ks, ks.a_panel(a_rows, m, m, k), ks.b_panel(b_cols, n, n, k)))
         } else {
             None
         };
@@ -761,9 +950,8 @@ impl PositGemm {
             let rows = c_chunk.len().checked_div(n).unwrap_or(0);
             let a_block = &a_rows[row0 * k..(row0 + rows) * k];
             match (narrow, &batch) {
-                (Some(proto), Some((ap, bp, width, emin, bc))) => kernel.block_batched(
-                    proto, f32_lut, row0, rows, k, n, a_block, b_cols, ap, bp, *width, *emin, *bc,
-                    c_chunk,
+                (Some(proto), Some((ks, ap, bp))) => kernel.block_batched(
+                    proto, f32_lut, ks, row0, rows, k, n, a_block, b_cols, ap, bp, c_chunk,
                 ),
                 (Some(proto), None) => {
                     kernel.block_narrow(proto, f32_lut, rows, k, n, a_block, b_cols, c_chunk)
@@ -775,20 +963,19 @@ impl PositGemm {
         });
     }
 
-    /// K-strip batched fast path over one row block: the MR×NR register
-    /// tile keeps `i64` *bucket* sums per `scale_sum` instead of an `i128`
-    /// accumulator per MAC. Within a strip every product is a narrow `i32`
-    /// multiply plus an indexed add; at the strip boundary each touched
-    /// bucket flushes with **one** `i128` shift-add
-    /// ([`NarrowQuire::add_group`]). Grouping exact integer terms never
-    /// changes the sum, so the result is bit-identical to the scalar
-    /// kernels; zero elements carry a zero fraction word (their adds are
-    /// no-ops) and NaR lifts out into panel-row flags applied on store.
+    /// K-strip batched fast path over one row block: full `MRB×NRB` tiles
+    /// run [`KStrip::tile`] (bucketed `i32` products, one `i128` flush per
+    /// touched bucket); the ragged edges run the scalar dot. Grouping
+    /// exact integer terms never changes the sum, so the result is
+    /// bit-identical to the scalar kernels; zero elements carry a zero
+    /// fraction word (their adds are no-ops) and NaR lifts out into
+    /// panel-row flags applied on store.
     #[allow(clippy::too_many_arguments)]
     fn block_batched(
         &self,
         proto: NarrowQuire,
         f32_lut: Option<&[f32]>,
+        ks: &KStrip,
         row0: usize,
         rows: usize,
         k: usize,
@@ -797,113 +984,23 @@ impl PositGemm {
         b_cols: &[Unpacked],
         ap: &BatchPanel,
         bp: &BatchPanel,
-        width: u32,
-        emin: i32,
-        bc: usize,
         c: &mut [f32],
     ) {
-        let strips = ap.strips;
-        debug_assert_eq!(strips, bp.strips);
-        debug_assert!(bc <= BUCKET_SLOTS);
         // Flush accounting stays in locals and posts one counter add per
         // row block; the `obs_on` tests sit in the flush scan, never in
         // the per-MAC strip loop.
         let obs_on = posit_obs::enabled();
-        let mut strips_flushed = 0u64;
-        let mut bucket_touches = 0u64;
+        let mut tally = [0u64; 2];
         let mut buckets = [[0i64; BUCKET_SLOTS]; MRB * NRB];
         let mut i = 0;
         while i + MRB <= rows {
             let r0 = row0 + i;
-            let a0s = &ap.sig[r0 * k..(r0 + 1) * k];
-            let a1s = &ap.sig[(r0 + 1) * k..(r0 + 2) * k];
-            let a2s = &ap.sig[(r0 + 2) * k..(r0 + 3) * k];
-            let a3s = &ap.sig[(r0 + 3) * k..(r0 + 4) * k];
-            let a0e = &ap.sc[r0 * k..(r0 + 1) * k];
-            let a1e = &ap.sc[(r0 + 1) * k..(r0 + 2) * k];
-            let a2e = &ap.sc[(r0 + 2) * k..(r0 + 3) * k];
-            let a3e = &ap.sc[(r0 + 3) * k..(r0 + 4) * k];
-            let a_nar = [ap.nar[r0], ap.nar[r0 + 1], ap.nar[r0 + 2], ap.nar[r0 + 3]];
             let mut j = 0;
             while j + NRB <= n {
-                let b0s = &bp.sig[j * k..(j + 1) * k];
-                let b1s = &bp.sig[(j + 1) * k..(j + 2) * k];
-                let b2s = &bp.sig[(j + 2) * k..(j + 3) * k];
-                let b3s = &bp.sig[(j + 3) * k..(j + 4) * k];
-                let b0e = &bp.sc[j * k..(j + 1) * k];
-                let b1e = &bp.sc[(j + 1) * k..(j + 2) * k];
-                let b2e = &bp.sc[(j + 2) * k..(j + 3) * k];
-                let b3e = &bp.sc[(j + 3) * k..(j + 4) * k];
                 let mut acc = [[proto; NRB]; MRB];
-                let mut t0 = 0;
-                let mut strip = 0;
-                while t0 < k {
-                    let t1 = (t0 + KSTRIP).min(k);
-                    let [bk00, bk01, bk02, bk03, bk10, bk11, bk12, bk13, bk20, bk21, bk22, bk23, bk30, bk31, bk32, bk33] =
-                        &mut buckets;
-                    for t in t0..t1 {
-                        // Each lane read is one sign-extending (fraction)
-                        // or zero-extending (scale byte) load; every lane
-                        // then feeds NRB (or MRB) MACs.
-                        let (x0s, x0e) = (a0s[t], a0e[t]);
-                        let (x1s, x1e) = (a1s[t], a1e[t]);
-                        let (x2s, x2e) = (a2s[t], a2e[t]);
-                        let (x3s, x3e) = (a3s[t], a3e[t]);
-                        let (y0s, y0e) = (b0s[t], b0e[t]);
-                        let (y1s, y1e) = (b1s[t], b1e[t]);
-                        let (y2s, y2e) = (b2s[t], b2e[t]);
-                        let (y3s, y3e) = (b3s[t], b3e[t]);
-                        batch_mac(bk00, x0s, x0e, y0s, y0e);
-                        batch_mac(bk01, x0s, x0e, y1s, y1e);
-                        batch_mac(bk02, x0s, x0e, y2s, y2e);
-                        batch_mac(bk03, x0s, x0e, y3s, y3e);
-                        batch_mac(bk10, x1s, x1e, y0s, y0e);
-                        batch_mac(bk11, x1s, x1e, y1s, y1e);
-                        batch_mac(bk12, x1s, x1e, y2s, y2e);
-                        batch_mac(bk13, x1s, x1e, y3s, y3e);
-                        batch_mac(bk20, x2s, x2e, y0s, y0e);
-                        batch_mac(bk21, x2s, x2e, y1s, y1e);
-                        batch_mac(bk22, x2s, x2e, y2s, y2e);
-                        batch_mac(bk23, x2s, x2e, y3s, y3e);
-                        batch_mac(bk30, x3s, x3e, y0s, y0e);
-                        batch_mac(bk31, x3s, x3e, y1s, y1e);
-                        batch_mac(bk32, x3s, x3e, y2s, y2e);
-                        batch_mac(bk33, x3s, x3e, y3s, y3e);
-                    }
-                    for (r, acc_row) in acc.iter_mut().enumerate() {
-                        let alo = ap.smin[(row0 + i + r) * strips + strip];
-                        let ahi = ap.smax[(row0 + i + r) * strips + strip];
-                        for (s, q) in acc_row.iter_mut().enumerate() {
-                            let lo = alo + bp.smin[(j + s) * strips + strip];
-                            let hi = ahi + bp.smax[(j + s) * strips + strip];
-                            if lo > hi {
-                                continue; // strip touched no bucket for this output
-                            }
-                            debug_assert!(lo >= 0 && (hi as usize) < bc);
-                            if obs_on {
-                                strips_flushed += 1;
-                            }
-                            let bk = &mut buckets[r * NRB + s];
-                            for idx in lo as usize..=hi as usize {
-                                let v = bk[idx & (BUCKET_SLOTS - 1)];
-                                if v != 0 {
-                                    if obs_on {
-                                        bucket_touches += 1;
-                                    }
-                                    q.add_group(idx as i32 + emin, width, v);
-                                    bk[idx & (BUCKET_SLOTS - 1)] = 0;
-                                }
-                            }
-                        }
-                    }
-                    t0 = t1;
-                    strip += 1;
-                }
-                for (r, acc_row) in acc.iter_mut().enumerate() {
-                    for (s, q) in acc_row.iter_mut().enumerate() {
-                        if a_nar[r] || bp.nar[j + s] {
-                            q.set_nar();
-                        }
+                ks.tile(&mut acc, &mut buckets, ap, r0, bp, j, k, obs_on, &mut tally);
+                for (r, acc_row) in acc.iter().enumerate() {
+                    for (s, q) in acc_row.iter().enumerate() {
                         c[(i + r) * n + j + s] += self.store_narrow(q, f32_lut);
                     }
                 }
@@ -928,11 +1025,7 @@ impl PositGemm {
             }
             i += 1;
         }
-        if obs_on {
-            let o = gemm_obs();
-            o.kstrips_flushed.add(strips_flushed);
-            o.bucket_touches.add(bucket_touches);
-        }
+        note_kstrip_tally(tally);
     }
 
     /// Narrow fast path over one row block: MR×NR register tiles with

@@ -31,6 +31,11 @@ if [ "$quick" -eq 0 ]; then
     cargo test -q --release -p posit-tensor --test posit_gemm_exhaustive
     echo "==> cargo test -q --release -p posit-store --test store_exhaustive"
     cargo test -q --release -p posit-store --test store_exhaustive
+    # The batch-wide quire convolutions: the debug run above pins the
+    # lowering, but the K-strip tile and the panel gathers it exercises
+    # only run their release code here.
+    echo "==> cargo test -q --release -p posit-tensor --test conv_lowering"
+    cargo test -q --release -p posit-tensor --test conv_lowering
     # The exact data-parallel determinism suite re-runs in release on a
     # forced 4-thread pool: the debug run above already covers the sweep,
     # but the narrow-quire fast paths and the pooled kernels only run

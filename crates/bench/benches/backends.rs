@@ -23,7 +23,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use posit::{PositFormat, Rounding};
 use posit_models::{lenet_gemm_shapes, mlp_gemm_shapes, GemmShape};
 use posit_tensor::rng::Prng;
-use posit_tensor::{serial_scope, Backend, KStripMode, PositGemm, PositPlane};
+use posit_tensor::{serial_scope, Backend, KStripMode, Operand, PositGemm, PositPlane, Transpose};
 use std::hint::black_box;
 
 fn bench_shapes() -> Vec<GemmShape> {
@@ -50,7 +50,15 @@ fn bench_backends(c: &mut Criterion) {
             g.bench_function(backend.name(), |bch| {
                 bch.iter(|| {
                     let mut out = vec![0.0f32; m * n];
-                    backend.gemm(m, k, n, black_box(&a), black_box(&b), &mut out);
+                    backend.gemm(
+                        Transpose::None,
+                        m,
+                        k,
+                        n,
+                        Operand::F32(black_box(&a)),
+                        Operand::F32(black_box(&b)),
+                        &mut out,
+                    );
                     out
                 })
             });
@@ -62,7 +70,15 @@ fn bench_backends(c: &mut Criterion) {
         g.bench_function("posit-quire-preplaned", |bch| {
             bch.iter(|| {
                 let mut out = vec![0.0f32; m * n];
-                kernel.gemm(m, k, n, black_box(&pa), black_box(&pb), &mut out);
+                kernel.gemm(
+                    Transpose::None,
+                    m,
+                    k,
+                    n,
+                    black_box(&pa),
+                    black_box(&pb),
+                    &mut out,
+                );
                 out
             })
         });
@@ -74,7 +90,15 @@ fn bench_backends(c: &mut Criterion) {
         g.bench_function("posit-quire-swar", |bch| {
             bch.iter(|| {
                 let mut out = vec![0.0f32; m * n];
-                swar.gemm(m, k, n, black_box(&pa), black_box(&pb), &mut out);
+                swar.gemm(
+                    Transpose::None,
+                    m,
+                    k,
+                    n,
+                    black_box(&pa),
+                    black_box(&pb),
+                    &mut out,
+                );
                 out
             })
         });
@@ -84,7 +108,15 @@ fn bench_backends(c: &mut Criterion) {
         g.bench_function("posit-quire-widequire", |bch| {
             bch.iter(|| {
                 let mut out = vec![0.0f32; m * n];
-                wide.gemm(m, k, n, black_box(&pa), black_box(&pb), &mut out);
+                wide.gemm(
+                    Transpose::None,
+                    m,
+                    k,
+                    n,
+                    black_box(&pa),
+                    black_box(&pb),
+                    &mut out,
+                );
                 out
             })
         });
@@ -93,7 +125,15 @@ fn bench_backends(c: &mut Criterion) {
             bch.iter(|| {
                 serial_scope(|| {
                     let mut out = vec![0.0f32; m * n];
-                    kernel.gemm(m, k, n, black_box(&pa), black_box(&pb), &mut out);
+                    kernel.gemm(
+                        Transpose::None,
+                        m,
+                        k,
+                        n,
+                        black_box(&pa),
+                        black_box(&pb),
+                        &mut out,
+                    );
                     out
                 })
             })
@@ -283,7 +323,15 @@ fn bench_obs_overhead(c: &mut Criterion) {
         g.bench_function("posit-quire", |bch| {
             bch.iter(|| {
                 let mut out = vec![0.0f32; m * n];
-                kernel.gemm(m, k, n, black_box(&pa), black_box(&pb), &mut out);
+                kernel.gemm(
+                    Transpose::None,
+                    m,
+                    k,
+                    n,
+                    black_box(&pa),
+                    black_box(&pb),
+                    &mut out,
+                );
                 out
             })
         });

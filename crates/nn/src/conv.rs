@@ -3,7 +3,7 @@
 use crate::layer::{Layer, LayerKind};
 use crate::param::Param;
 use posit_tensor::conv::{col2im, conv2d_backward_exact, conv2d_prepared, im2col, ConvGeom};
-use posit_tensor::{Backend, GradQuireBuf, OperandCache, Tensor};
+use posit_tensor::{Backend, GradQuireBuf, Operand, OperandCache, Tensor, Transpose};
 
 /// `Conv2d`: NCHW convolution, square kernel, no dilation/groups (all the
 /// paper's ResNets need). Bias is optional — ResNet convs are bias-free
@@ -155,11 +155,20 @@ impl Conv2d {
                 &g,
                 &mut col,
             );
-            bwd.gemm_a_bt(o, cols, rows, dy, &col, self.weight.grad.data_mut());
+            let dy = bwd.prepare(Operand::F32(dy));
+            let col_prep = bwd.prepare(Operand::F32(&col));
+            dy.gemm(
+                Transpose::B,
+                o,
+                cols,
+                rows,
+                &col_prep,
+                self.weight.grad.data_mut(),
+            );
             if let (Some(gi), Some(w_prep)) = (grad_in.as_mut(), &w_prep) {
                 // dX_col = Wᵀ · dY — [rows, O] × [O, cols]
                 dcol.fill(0.0);
-                w_prep.gemm_at_b(rows, o, cols, dy, &mut dcol);
+                w_prep.gemm(Transpose::A, rows, o, cols, &dy, &mut dcol);
                 col2im(
                     &dcol,
                     &g,

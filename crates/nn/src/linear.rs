@@ -2,7 +2,7 @@
 
 use crate::layer::{Layer, LayerKind};
 use crate::param::Param;
-use posit_tensor::{Backend, GradQuireBuf, OperandCache, Tensor};
+use posit_tensor::{Backend, GradQuireBuf, OperandCache, Tensor, Transpose};
 
 /// `Linear`: `y[N,out] = x[N,in] · Wᵀ + b`, weight stored `[out, in]`.
 pub struct Linear {
@@ -110,7 +110,8 @@ impl Linear {
             }
         } else {
             // ΔW += dYᵀ · X — [o, n] × [n, k]
-            self.bwd_backend.gemm_at_b_op(
+            self.bwd_backend.gemm(
+                Transpose::A,
                 o,
                 n,
                 k,
@@ -150,11 +151,11 @@ impl Layer for Linear {
         // they arrived in (packed posit planes feed the quire kernel with
         // no f32 staging); the decoded weight operand is memoized across
         // calls until the weight content changes.
-        let x = self.fwd_backend.prepare_operand(input.operand());
+        let x = self.fwd_backend.prepare(input.operand());
         let w = self
             .fwd_backend
             .prepare_tensor_cached(&self.weight.value, &mut self.fwd_weight_cache);
-        x.gemm_a_bt_prepared(n, k, o, &w, out.data_mut());
+        x.gemm(Transpose::B, n, k, o, &w, out.data_mut());
         if let Some(b) = &self.bias {
             let bv = b.value.dense();
             for i in 0..n {
@@ -173,11 +174,11 @@ impl Layer for Linear {
         let n = grad_out.shape()[0];
         let (o, k) = (self.out_features(), self.in_features());
         let mut grad_in = Tensor::zeros(&[n, k]);
-        let dy = self.bwd_backend.prepare_operand(grad_out.operand());
+        let dy = self.bwd_backend.prepare(grad_out.operand());
         let w = self
             .bwd_backend
             .prepare_tensor_cached(&self.weight.value, &mut self.bwd_weight_cache);
-        dy.gemm_prepared(n, o, k, &w, grad_in.data_mut());
+        dy.gemm(Transpose::None, n, o, k, &w, grad_in.data_mut());
         grad_in
     }
 

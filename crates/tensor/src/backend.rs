@@ -1,8 +1,8 @@
 //! The compute-backend switch: one dispatch point for every GEMM-shaped
 //! operation in the workspace.
 //!
-//! Three backends implement the same `C += A·B` contracts as
-//! [`crate::gemm`]:
+//! Three backends implement the same `C += A·B` contract as
+//! [`crate::gemm`], behind one entry point taking a [`Transpose`] tag:
 //!
 //! * [`Backend::F32`] — the plain blocked f32 kernels (the substrate the
 //!   paper's GPU simulation runs on);
@@ -26,8 +26,8 @@
 //! The `nn` layers carry a `Backend` per direction (forward / backward), so
 //! the trainer can A/B the three paths without touching layer code.
 
-use crate::gemm;
-use crate::posit_gemm::{PositGemm, PositPlane};
+use crate::gemm::{self, Transpose};
+use crate::posit_gemm::{kernel_rounding, PositGemm, PositPlane};
 use crate::storage::{PackedBits, Storage};
 use crate::tensor::Tensor;
 use posit::{PositFormat, Rounding};
@@ -151,59 +151,22 @@ impl Backend {
         }
     }
 
-    /// The rounding mode the kernels actually apply: stochastic degrades to
-    /// nearest-even (the kernels carry no per-element random stream).
-    pub(crate) fn op_rounding(rounding: Rounding) -> Rounding {
-        if rounding == Rounding::Stochastic {
-            Rounding::NearestEven
-        } else {
-            rounding
-        }
-    }
-
-    /// Quantize a slice to the posit grid (the sandwich's operand rounding).
-    /// [`posit::quant::quantize_f32`] with the encode table fetched once.
-    pub(crate) fn sandwich_quantize(fmt: &PositFormat, rounding: Rounding, xs: &[f32]) -> Vec<f32> {
-        let table = posit::lut::encode_table(*fmt);
-        xs.iter()
-            .map(|&x| table.quantize_f32(x, rounding))
-            .collect()
-    }
-
-    /// Prepare a left operand once for repeated GEMMs under this backend —
-    /// the decode-once contract extended across calls (e.g. a conv batch
-    /// loop where the weight tile is the `A` operand of every sample's
-    /// GEMM). For [`Backend::F32`] this is a free borrow; for the posit
-    /// backends it pays the quantize/decode exactly once.
-    pub fn prepare<'a>(&self, xs: &'a [f32]) -> PreparedOperand<'a> {
-        self.prepare_operand(Operand::F32(xs))
-    }
-
-    /// [`Backend::prepare`] for an operand in either storage domain. A
-    /// packed posit operand matching a [`Backend::PositQuire`] format is
-    /// decoded once from its code words with no f32 staging.
-    pub fn prepare_operand<'a>(&self, op: Operand<'a>) -> PreparedOperand<'a> {
-        if let (Backend::F32, Operand::F32(xs)) = (self, op) {
-            return PreparedOperand {
-                inner: Prepared::F32(Cow::Borrowed(xs)),
-            };
-        }
-        let inner = match self.prepare_owned(op) {
-            PreparedOwned::F32(v) => Prepared::F32(Cow::Owned(v)),
-            PreparedOwned::Emulated { fmt, rounding, q } => Prepared::Emulated {
-                fmt,
-                rounding,
-                q: Cow::Owned(q),
-            },
-            PreparedOwned::Quire { kernel, plane } => Prepared::Quire {
-                kernel,
-                plane: Cow::Owned(plane),
-            },
+    /// Prepare an operand once for repeated GEMMs under this backend — the
+    /// decode-once contract extended across calls (e.g. a conv batch loop
+    /// where the weight tile is an operand of every sample's GEMM). An f32
+    /// operand under [`Backend::F32`] is a free borrow; otherwise the
+    /// decode/quantize is paid exactly once. A packed posit operand
+    /// matching a [`Backend::PositQuire`] format is decoded straight from
+    /// its code words, with no f32 staging.
+    pub fn prepare<'a>(&self, op: Operand<'a>) -> PreparedOperand<'a> {
+        let inner = match (self, op) {
+            (Backend::F32, Operand::F32(xs)) => Prepared::F32(Cow::Borrowed(xs)),
+            _ => self.prepare_owned(op),
         };
         PreparedOperand { inner }
     }
 
-    /// [`Backend::prepare_operand`] for a tensor operand, memoized in
+    /// [`Backend::prepare`] for a tensor operand, memoized in
     /// `cache` and keyed on the tensor's content stamp
     /// ([`crate::Tensor::version`]) plus this backend: the expensive part
     /// of preparation (posit decode into a plane, sandwich quantization, a
@@ -247,39 +210,37 @@ impl Backend {
             });
         }
         let slot = cache.slot.as_ref().expect("slot just filled");
-        let inner = match &slot.prepared {
-            PreparedOwned::F32(v) => Prepared::F32(Cow::Borrowed(v)),
-            PreparedOwned::Emulated { fmt, rounding, q } => Prepared::Emulated {
-                fmt: *fmt,
-                rounding: *rounding,
-                q: Cow::Borrowed(q),
-            },
-            PreparedOwned::Quire { kernel, plane } => Prepared::Quire {
-                kernel: *kernel,
-                plane: Cow::Borrowed(plane),
-            },
-        };
-        PreparedOperand { inner }
+        PreparedOperand {
+            inner: slot.prepared.reborrow(),
+        }
     }
 
     /// The owned preparation every prepare path shares (the free-borrow
     /// case — f32 data under the f32 backend — is short-circuited by the
     /// callers before reaching here).
-    fn prepare_owned(&self, op: Operand<'_>) -> PreparedOwned {
+    fn prepare_owned(&self, op: Operand<'_>) -> Prepared<'static> {
         match self {
-            Backend::F32 => PreparedOwned::F32(op.to_f32_vec().into_owned()),
+            Backend::F32 => Prepared::F32(Cow::Owned(op.to_f32_vec().into_owned())),
             Backend::PositEmulated { fmt, rounding } => {
-                let rounding = Self::op_rounding(*rounding);
-                PreparedOwned::Emulated {
+                // The sandwich's operand rounding, with the encode table
+                // fetched once.
+                let rounding = kernel_rounding(*rounding);
+                let table = posit::lut::encode_table(*fmt);
+                let xs = op.to_f32_vec();
+                let q = xs.iter().map(|&x| table.quantize_f32(x, rounding));
+                Prepared::Emulated {
                     fmt: *fmt,
                     rounding,
-                    q: Self::sandwich_quantize(fmt, rounding, &op.to_f32_vec()),
+                    q: Cow::Owned(q.collect()),
                 }
             }
             Backend::PositQuire { fmt, rounding } => {
                 let kernel = PositGemm::new(*fmt, *rounding);
                 let plane = quire_plane(&kernel, op);
-                PreparedOwned::Quire { kernel, plane }
+                Prepared::Quire {
+                    kernel,
+                    plane: Cow::Owned(plane),
+                }
             }
         }
     }
@@ -313,34 +274,19 @@ impl Backend {
     ) -> Option<crate::GradQuireBuf> {
         match self {
             Backend::PositQuire { fmt, rounding } => Some(crate::GradQuireBuf::new(
-                *fmt,
-                Self::op_rounding(*rounding),
-                margin,
-                k_total,
-                len,
+                *fmt, *rounding, margin, k_total, len,
             )),
             _ => None,
         }
     }
 
-    /// `c += a[m,k] * b[k,n]` under this backend.
-    pub fn gemm(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-        self.prepare(a).gemm(m, k, n, b, c);
-    }
-
-    /// `c += a^T[m,k] * b[k,n]` (`a` stored `[k, m]`) under this backend.
-    pub fn gemm_at_b(&self, m: usize, k: usize, n: usize, a_t: &[f32], b: &[f32], c: &mut [f32]) {
-        self.prepare(a_t).gemm_at_b(m, k, n, b, c);
-    }
-
-    /// `c += a[m,k] * b^T[k,n]` (`b` stored `[n, k]`) under this backend.
-    pub fn gemm_a_bt(&self, m: usize, k: usize, n: usize, a: &[f32], b_t: &[f32], c: &mut [f32]) {
-        self.prepare(a).gemm_a_bt(m, k, n, b_t, c);
-    }
-
-    /// [`Backend::gemm`] over dual-domain operands.
-    pub fn gemm_op(
+    /// `c += a[m,k] · b[k,n]` under this backend, with `t` naming the
+    /// operand stored transposed (see [`Transpose`]): both operands are
+    /// prepared for this call, then [`PreparedOperand::gemm`] runs.
+    #[allow(clippy::too_many_arguments)]
+    pub fn gemm(
         &self,
+        t: Transpose,
         m: usize,
         k: usize,
         n: usize,
@@ -348,33 +294,7 @@ impl Backend {
         b: Operand<'_>,
         c: &mut [f32],
     ) {
-        self.prepare_operand(a).gemm_op(m, k, n, b, c);
-    }
-
-    /// [`Backend::gemm_at_b`] over dual-domain operands.
-    pub fn gemm_at_b_op(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a_t: Operand<'_>,
-        b: Operand<'_>,
-        c: &mut [f32],
-    ) {
-        self.prepare_operand(a_t).gemm_at_b_op(m, k, n, b, c);
-    }
-
-    /// [`Backend::gemm_a_bt`] over dual-domain operands.
-    pub fn gemm_a_bt_op(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: Operand<'_>,
-        b_t: Operand<'_>,
-        c: &mut [f32],
-    ) {
-        self.prepare_operand(a).gemm_a_bt_op(m, k, n, b_t, c);
+        self.prepare(a).gemm(t, m, k, n, &self.prepare(b), c);
     }
 }
 
@@ -429,26 +349,11 @@ impl OperandCache {
 struct CacheSlot {
     backend: Backend,
     version: u64,
-    prepared: PreparedOwned,
+    prepared: Prepared<'static>,
 }
 
-/// Owned twin of [`Prepared`], storable across calls.
-enum PreparedOwned {
-    F32(Vec<f32>),
-    Emulated {
-        fmt: PositFormat,
-        rounding: Rounding,
-        q: Vec<f32>,
-    },
-    Quire {
-        kernel: PositGemm,
-        plane: PositPlane,
-    },
-}
-
-/// A GEMM left operand prepared once under a [`Backend`] (see
-/// [`Backend::prepare`]); the right operand is prepared per call — or
-/// passed pre-prepared through the `*_prepared` entry points.
+/// A GEMM operand prepared once under a [`Backend`] (see
+/// [`Backend::prepare`] and [`Backend::prepare_tensor_cached`]).
 pub struct PreparedOperand<'a> {
     inner: Prepared<'a>,
 }
@@ -466,13 +371,49 @@ enum Prepared<'a> {
     },
 }
 
+impl Prepared<'_> {
+    /// A borrow of this preparation (what a cache hit hands out).
+    fn reborrow(&self) -> Prepared<'_> {
+        match self {
+            Prepared::F32(v) => Prepared::F32(Cow::Borrowed(v)),
+            Prepared::Emulated { fmt, rounding, q } => Prepared::Emulated {
+                fmt: *fmt,
+                rounding: *rounding,
+                q: Cow::Borrowed(q),
+            },
+            Prepared::Quire { kernel, plane } => Prepared::Quire {
+                kernel: *kernel,
+                plane: Cow::Borrowed(plane),
+            },
+        }
+    }
+}
+
+/// The f32 kernel for a transpose tag: the one place the three loops of
+/// [`crate::gemm`] are chosen between.
+fn f32_gemm(t: Transpose, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    match t {
+        Transpose::None => gemm::gemm(m, k, n, a, b, c),
+        Transpose::A => gemm::gemm_at_b(m, k, n, a, b, c),
+        Transpose::B => gemm::gemm_a_bt(m, k, n, a, b, c),
+    }
+}
+
 impl PreparedOperand<'_> {
-    /// The emulated sandwich tail: requantize the f32 scratch result and
-    /// accumulate it into `c`.
-    fn emulated_store(fmt: &PositFormat, rounding: Rounding, tmp: &[f32], c: &mut [f32]) {
-        let table = posit::lut::encode_table(*fmt);
-        for (ci, &t) in c.iter_mut().zip(tmp) {
-            *ci += table.quantize_f32(t, rounding);
+    /// The backend this operand was prepared under (its kernels' effective
+    /// rounding, so preparing another operand under it gives the same
+    /// bits as preparing under the original backend).
+    pub(crate) fn backend(&self) -> Backend {
+        match &self.inner {
+            Prepared::F32(_) => Backend::F32,
+            Prepared::Emulated { fmt, rounding, .. } => Backend::PositEmulated {
+                fmt: *fmt,
+                rounding: *rounding,
+            },
+            Prepared::Quire { kernel, .. } => Backend::PositQuire {
+                fmt: kernel.format(),
+                rounding: kernel.rounding(),
+            },
         }
     }
 
@@ -485,66 +426,20 @@ impl PreparedOperand<'_> {
         }
     }
 
-    /// `c += self[m,k] * b[k,n]` (`self` is the prepared `A`).
-    pub fn gemm(&self, m: usize, k: usize, n: usize, b: &[f32], c: &mut [f32]) {
-        self.gemm_op(m, k, n, Operand::F32(b), c);
-    }
-
-    /// `c += self^T[m,k] * b[k,n]` (`self` is the prepared `A^T`, stored
-    /// `[k, m]`).
-    pub fn gemm_at_b(&self, m: usize, k: usize, n: usize, b: &[f32], c: &mut [f32]) {
-        self.gemm_at_b_op(m, k, n, Operand::F32(b), c);
-    }
-
-    /// `c += self[m,k] * b^T[k,n]` (`self` is the prepared `A`; `b` stored
-    /// `[n, k]`).
-    pub fn gemm_a_bt(&self, m: usize, k: usize, n: usize, b_t: &[f32], c: &mut [f32]) {
-        self.gemm_a_bt_op(m, k, n, Operand::F32(b_t), c);
-    }
-
-    /// [`PreparedOperand::gemm`] over a dual-domain right operand.
-    pub fn gemm_op(&self, m: usize, k: usize, n: usize, b: Operand<'_>, c: &mut [f32]) {
-        match &self.inner {
-            Prepared::F32(a) => gemm::gemm(m, k, n, a, &b.to_f32_vec(), c),
-            Prepared::Emulated { fmt, rounding, q } => {
-                let qb = Backend::sandwich_quantize(fmt, *rounding, &b.to_f32_vec());
-                let mut tmp = vec![0.0f32; c.len()];
-                gemm::gemm(m, k, n, q, &qb, &mut tmp);
-                Self::emulated_store(fmt, *rounding, &tmp, c);
-            }
-            Prepared::Quire { kernel, plane } => {
-                let pb = quire_plane(kernel, b);
-                kernel.gemm(m, k, n, plane, &pb, c);
-            }
-        }
-    }
-
-    /// [`PreparedOperand::gemm_at_b`] over a dual-domain right operand.
-    pub fn gemm_at_b_op(&self, m: usize, k: usize, n: usize, b: Operand<'_>, c: &mut [f32]) {
-        match &self.inner {
-            Prepared::F32(a_t) => gemm::gemm_at_b(m, k, n, a_t, &b.to_f32_vec(), c),
-            Prepared::Emulated { fmt, rounding, q } => {
-                let qb = Backend::sandwich_quantize(fmt, *rounding, &b.to_f32_vec());
-                let mut tmp = vec![0.0f32; c.len()];
-                gemm::gemm_at_b(m, k, n, q, &qb, &mut tmp);
-                Self::emulated_store(fmt, *rounding, &tmp, c);
-            }
-            Prepared::Quire { kernel, plane } => {
-                let pb = quire_plane(kernel, b);
-                kernel.gemm_at_b(m, k, n, plane, &pb, c);
-            }
-        }
-    }
-
-    /// `c += self[m,k] * b[k,n]` with *both* operands pre-prepared under
-    /// the same backend — the entry point for a cached weight operand on
-    /// the right-hand side (see [`Backend::prepare_tensor_cached`]).
+    /// `c += self[m,k] · b[k,n]` with both operands prepared under the
+    /// same backend, `t` naming the operand stored transposed (see
+    /// [`Transpose`]): `self` stored `[k, m]` under [`Transpose::A`], `b`
+    /// stored `[n, k]` under [`Transpose::B`]. The emulated backend
+    /// multiplies the quantized operands in f32 and rounds the result once
+    /// more; the quire backend accumulates exactly and rounds once.
     ///
     /// # Panics
     ///
-    /// Panics if the operands were prepared under different backends.
-    pub fn gemm_prepared(
+    /// Panics if the operands were prepared under different backends, or
+    /// if the lengths disagree with the dimensions.
+    pub fn gemm(
         &self,
+        t: Transpose,
         m: usize,
         k: usize,
         n: usize,
@@ -552,7 +447,7 @@ impl PreparedOperand<'_> {
         c: &mut [f32],
     ) {
         match (&self.inner, &b.inner) {
-            (Prepared::F32(a), Prepared::F32(bv)) => gemm::gemm(m, k, n, a, bv, c),
+            (Prepared::F32(a), Prepared::F32(b)) => f32_gemm(t, m, k, n, a, b, c),
             (
                 Prepared::Emulated { fmt, rounding, q },
                 Prepared::Emulated {
@@ -567,8 +462,11 @@ impl PreparedOperand<'_> {
                     "emulated operands quantized under different formats/roundings"
                 );
                 let mut tmp = vec![0.0f32; c.len()];
-                gemm::gemm(m, k, n, q, qb, &mut tmp);
-                Self::emulated_store(fmt, *rounding, &tmp, c);
+                f32_gemm(t, m, k, n, q, qb, &mut tmp);
+                let table = posit::lut::encode_table(*fmt);
+                for (ci, &x) in c.iter_mut().zip(&tmp) {
+                    *ci += table.quantize_f32(x, *rounding);
+                }
             }
             (
                 Prepared::Quire { kernel, plane },
@@ -581,126 +479,9 @@ impl PreparedOperand<'_> {
                     kernel, bk,
                     "quire operands prepared under different formats/roundings"
                 );
-                kernel.gemm(m, k, n, plane, pb, c);
+                kernel.gemm(t, m, k, n, plane, pb, c);
             }
             _ => panic!("GEMM operands prepared under different backends"),
-        }
-    }
-
-    /// `c += self^T[m,k] * b[k,n]` (`self` stored `[k, m]`) with both
-    /// operands pre-prepared under the same backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operands were prepared under different backends.
-    pub fn gemm_at_b_prepared(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        b: &PreparedOperand<'_>,
-        c: &mut [f32],
-    ) {
-        match (&self.inner, &b.inner) {
-            (Prepared::F32(a_t), Prepared::F32(bv)) => gemm::gemm_at_b(m, k, n, a_t, bv, c),
-            (
-                Prepared::Emulated { fmt, rounding, q },
-                Prepared::Emulated {
-                    fmt: bf,
-                    rounding: br,
-                    q: qb,
-                },
-            ) => {
-                assert_eq!(
-                    (fmt, rounding),
-                    (bf, br),
-                    "emulated operands quantized under different formats/roundings"
-                );
-                let mut tmp = vec![0.0f32; c.len()];
-                gemm::gemm_at_b(m, k, n, q, qb, &mut tmp);
-                Self::emulated_store(fmt, *rounding, &tmp, c);
-            }
-            (
-                Prepared::Quire { kernel, plane },
-                Prepared::Quire {
-                    kernel: bk,
-                    plane: pb,
-                },
-            ) => {
-                assert_eq!(
-                    kernel, bk,
-                    "quire operands prepared under different formats/roundings"
-                );
-                kernel.gemm_at_b(m, k, n, plane, pb, c);
-            }
-            _ => panic!("GEMM operands prepared under different backends"),
-        }
-    }
-
-    /// `c += self[m,k] * b^T[k,n]` (`b` stored `[n, k]`) with both
-    /// operands pre-prepared under the same backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operands were prepared under different backends.
-    pub fn gemm_a_bt_prepared(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        b_t: &PreparedOperand<'_>,
-        c: &mut [f32],
-    ) {
-        match (&self.inner, &b_t.inner) {
-            (Prepared::F32(a), Prepared::F32(bv)) => gemm::gemm_a_bt(m, k, n, a, bv, c),
-            (
-                Prepared::Emulated { fmt, rounding, q },
-                Prepared::Emulated {
-                    fmt: bf,
-                    rounding: br,
-                    q: qb,
-                },
-            ) => {
-                assert_eq!(
-                    (fmt, rounding),
-                    (bf, br),
-                    "emulated operands quantized under different formats/roundings"
-                );
-                let mut tmp = vec![0.0f32; c.len()];
-                gemm::gemm_a_bt(m, k, n, q, qb, &mut tmp);
-                Self::emulated_store(fmt, *rounding, &tmp, c);
-            }
-            (
-                Prepared::Quire { kernel, plane },
-                Prepared::Quire {
-                    kernel: bk,
-                    plane: pb,
-                },
-            ) => {
-                assert_eq!(
-                    kernel, bk,
-                    "quire operands prepared under different formats/roundings"
-                );
-                kernel.gemm_a_bt(m, k, n, plane, pb, c);
-            }
-            _ => panic!("GEMM operands prepared under different backends"),
-        }
-    }
-
-    /// [`PreparedOperand::gemm_a_bt`] over a dual-domain right operand.
-    pub fn gemm_a_bt_op(&self, m: usize, k: usize, n: usize, b_t: Operand<'_>, c: &mut [f32]) {
-        match &self.inner {
-            Prepared::F32(a) => gemm::gemm_a_bt(m, k, n, a, &b_t.to_f32_vec(), c),
-            Prepared::Emulated { fmt, rounding, q } => {
-                let qb = Backend::sandwich_quantize(fmt, *rounding, &b_t.to_f32_vec());
-                let mut tmp = vec![0.0f32; c.len()];
-                gemm::gemm_a_bt(m, k, n, q, &qb, &mut tmp);
-                Self::emulated_store(fmt, *rounding, &tmp, c);
-            }
-            Prepared::Quire { kernel, plane } => {
-                let pb = quire_plane(kernel, b_t);
-                kernel.gemm_a_bt(m, k, n, plane, &pb, c);
-            }
         }
     }
 }
@@ -744,33 +525,16 @@ mod tests {
         gemm::gemm(2, 3, 2, &a, &b, &mut want);
         for bk in backends() {
             let mut c = vec![0.0f32; 4];
-            bk.gemm(2, 3, 2, &a, &b, &mut c);
+            bk.gemm(
+                Transpose::None,
+                2,
+                3,
+                2,
+                Operand::F32(&a),
+                Operand::F32(&b),
+                &mut c,
+            );
             assert_eq!(c, want, "{}", bk.name());
-        }
-    }
-
-    #[test]
-    fn packed_operands_agree_with_f32_operands() {
-        // Exact inputs packed into (16,1) planes must produce the same
-        // results as their f32 twins under every backend, in every operand
-        // position, with and without a scale shift.
-        let av = vec![1.0f32, 2.0, -0.5, 4.0, 0.25, -8.0]; // [2, 3]
-        let bv = vec![2.0f32, 0.5, -1.0, 4.0, 0.125, -2.0]; // [3, 2]
-        let ta = Tensor::from_vec(av.clone(), &[2, 3]);
-        let tb = Tensor::from_vec(bv.clone(), &[3, 2]);
-        for (ea, eb) in [(0, 0), (2, -1)] {
-            let pa = ta.to_posit(FMT, ea, Rounding::NearestEven);
-            let pb = tb.to_posit(FMT, eb, Rounding::NearestEven);
-            for bk in backends() {
-                let mut want = vec![0.0f32; 4];
-                bk.gemm(2, 3, 2, &av, &bv, &mut want);
-                let mut c = vec![0.0f32; 4];
-                bk.gemm_op(2, 3, 2, pa.operand(), pb.operand(), &mut c);
-                assert_eq!(c, want, "packed×packed {} e=({ea},{eb})", bk.name());
-                let mut c = vec![0.0f32; 4];
-                bk.gemm_op(2, 3, 2, ta.operand(), pb.operand(), &mut c);
-                assert_eq!(c, want, "f32×packed {}", bk.name());
-            }
         }
     }
 
@@ -787,9 +551,17 @@ mod tests {
         };
         let b = Tensor::from_vec(vec![2.0, 4.0, -1.0], &[3, 1]);
         let mut want = vec![0.0f32; 1];
-        qui.gemm_op(1, 3, 1, t.operand(), b.operand(), &mut want);
+        qui.gemm(
+            Transpose::None,
+            1,
+            3,
+            1,
+            t.operand(),
+            b.operand(),
+            &mut want,
+        );
         let mut c = vec![0.0f32; 1];
-        qui.gemm_op(1, 3, 1, p8.operand(), b.operand(), &mut c);
+        qui.gemm(Transpose::None, 1, 3, 1, p8.operand(), b.operand(), &mut c);
         assert_eq!(c, want);
     }
 
@@ -804,50 +576,18 @@ mod tests {
     }
 
     #[test]
-    fn transposed_dispatch_matches_plain() {
-        let a = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0]; // [2, 3]
-        let a_t = [1.0f32, 4.0, 2.0, 5.0, 3.0, 6.0]; // [3, 2]
-        let b = [1.0f32, -2.0, 0.5, 1.0, -1.0, 2.0]; // [3, 2]
-        let b_t = [1.0f32, 0.5, -1.0, -2.0, 1.0, 2.0]; // [2, 3]
-        for bk in backends() {
-            let mut plain = vec![0.0f32; 4];
-            bk.gemm(2, 3, 2, &a, &b, &mut plain);
-            let mut c = vec![0.0f32; 4];
-            bk.gemm_at_b(2, 3, 2, &a_t, &b, &mut c);
-            assert_eq!(c, plain, "gemm_at_b {}", bk.name());
-            let mut c = vec![0.0f32; 4];
-            bk.gemm_a_bt(2, 3, 2, &a, &b_t, &mut c);
-            assert_eq!(c, plain, "gemm_a_bt {}", bk.name());
-        }
-    }
-
-    #[test]
-    fn transposed_packed_operands_agree() {
-        let a_t = Tensor::from_vec(vec![1.0, 4.0, 2.0, 0.25, -0.5, -8.0], &[3, 2]);
-        let b = Tensor::from_vec(vec![1.0, -2.0, 0.5, 1.0, -1.0, 2.0], &[3, 2]);
-        let b_t = b.transpose2();
-        let a = a_t.transpose2();
-        for bk in backends() {
-            let mut plain = vec![0.0f32; 4];
-            bk.gemm(2, 3, 2, a.data(), b.data(), &mut plain);
-            let pat = a_t.to_posit(FMT, 0, Rounding::NearestEven);
-            let pb = b.to_posit(FMT, 0, Rounding::NearestEven);
-            let pbt = b_t.to_posit(FMT, 0, Rounding::NearestEven);
-            let pa = a.to_posit(FMT, 0, Rounding::NearestEven);
-            let mut c = vec![0.0f32; 4];
-            bk.gemm_at_b_op(2, 3, 2, pat.operand(), pb.operand(), &mut c);
-            assert_eq!(c, plain, "gemm_at_b_op {}", bk.name());
-            let mut c = vec![0.0f32; 4];
-            bk.gemm_a_bt_op(2, 3, 2, pa.operand(), pbt.operand(), &mut c);
-            assert_eq!(c, plain, "gemm_a_bt_op {}", bk.name());
-        }
-    }
-
-    #[test]
     fn posit_backends_accumulate_into_c() {
         for bk in backends() {
             let mut c = vec![100.0f32; 1];
-            bk.gemm(1, 1, 1, &[2.0], &[3.0], &mut c);
+            bk.gemm(
+                Transpose::None,
+                1,
+                1,
+                1,
+                Operand::F32(&[2.0]),
+                Operand::F32(&[3.0]),
+                &mut c,
+            );
             assert_eq!(c, vec![106.0], "{}", bk.name());
         }
     }
@@ -870,45 +610,136 @@ mod tests {
             },
         ] {
             let mut want = vec![0.0f32; 4];
-            bk.gemm(2, 3, 2, &a, &b, &mut want);
+            bk.gemm(
+                Transpose::None,
+                2,
+                3,
+                2,
+                Operand::F32(&a),
+                Operand::F32(&b),
+                &mut want,
+            );
             let mut c = vec![0.0f32; 4];
-            bk.gemm_at_b(2, 3, 2, &[1.0, 4.0, 2.0, 0.25, -0.5, -8.0], &b, &mut c);
+            let a_t = [1.0, 4.0, 2.0, 0.25, -0.5, -8.0];
+            bk.gemm(
+                Transpose::A,
+                2,
+                3,
+                2,
+                Operand::F32(&a_t),
+                Operand::F32(&b),
+                &mut c,
+            );
             let mut c = vec![0.0f32; 4];
-            bk.gemm_a_bt(2, 3, 2, &a, &[2.0, -1.0, 0.125, 0.5, 4.0, -2.0], &mut c);
+            let b_t = [2.0, -1.0, 0.125, 0.5, 4.0, -2.0];
+            bk.gemm(
+                Transpose::B,
+                2,
+                3,
+                2,
+                Operand::F32(&a),
+                Operand::F32(&b_t),
+                &mut c,
+            );
         }
+    }
+
+    /// Per operand: f32 (`None`), packed (`Some(0)`), or packed under an
+    /// Eq. 2 scale shift.
+    type Domain = Option<i32>;
+    const A_DOMAINS: [Domain; 3] = [None, Some(0), Some(2)];
+    const B_DOMAINS: [Domain; 3] = [None, Some(0), Some(-1)];
+    const TRANSPOSES: [Transpose; 3] = [Transpose::None, Transpose::A, Transpose::B];
+
+    /// Backend × transpose tag × operand domain × preparation (per call,
+    /// or both operands through an OperandCache, twice for a hit), each
+    /// against the plain f32 product. The inputs are small dyadics whose
+    /// dot products are exact in f32 and on the (16,1) grid, so every cell
+    /// must reproduce the f32 bits.
+    fn assert_gemm_cells(transposes: &[Transpose], domains: &[(Domain, Domain)], cached: bool) {
+        let (m, k, n) = (2, 3, 4);
+        let vals = [1.0f32, -2.0, 0.5, 4.0, -0.25, 0.125, 2.0, -1.0];
+        let a: Vec<f32> = (0..m * k).map(|i| vals[(3 * i + 1) % 8]).collect();
+        let b: Vec<f32> = (0..k * n).map(|i| vals[(5 * i + 2) % 8]).collect();
+        let mut want = vec![0.0f32; m * n];
+        gemm::gemm(m, k, n, &a, &b, &mut want);
+        for &x in &want {
+            let on_grid = FMT.to_f32(FMT.from_f32(x, Rounding::NearestEven));
+            assert_eq!(on_grid, x, "{x} must be exact in (16,1)");
+        }
+        let (a, b) = (Tensor::from_vec(a, &[m, k]), Tensor::from_vec(b, &[k, n]));
+        let store = |x: &Tensor, scale: Domain| match scale {
+            Some(e) => x.to_posit(FMT, e, Rounding::NearestEven),
+            None => x.clone(),
+        };
+        for bk in backends() {
+            for &t in transposes {
+                let a_t = if t == Transpose::A {
+                    a.transpose2()
+                } else {
+                    a.clone()
+                };
+                let b_t = if t == Transpose::B {
+                    b.transpose2()
+                } else {
+                    b.clone()
+                };
+                for &(ea, eb) in domains {
+                    let (a_op, b_op) = (store(&a_t, ea), store(&b_t, eb));
+                    let what = format!("{} {t:?} A {ea:?} B {eb:?}", bk.name());
+                    if !cached {
+                        let mut c = vec![0.0f32; m * n];
+                        bk.gemm(t, m, k, n, a_op.operand(), b_op.operand(), &mut c);
+                        assert_eq!(c, want, "per call, {what}");
+                        continue;
+                    }
+                    let (mut cache_a, mut cache_b) = (OperandCache::new(), OperandCache::new());
+                    for pass in 0..2 {
+                        let pa = bk.prepare_tensor_cached(&a_op, &mut cache_a);
+                        let pb = bk.prepare_tensor_cached(&b_op, &mut cache_b);
+                        let mut c = vec![0.0f32; m * n];
+                        pa.gemm(t, m, k, n, &pb, &mut c);
+                        assert_eq!(c, want, "cached pass {pass}, {what}");
+                    }
+                    // Caches engage for everything but the free-borrow
+                    // f32-under-f32 case.
+                    assert_eq!(cache_a.is_cached(), bk != Backend::F32 || ea.is_some());
+                    assert_eq!(cache_b.is_cached(), bk != Backend::F32 || eb.is_some());
+                }
+            }
+        }
+    }
+
+    /// Every (A domain, B domain) pair.
+    fn all_domains() -> Vec<(Domain, Domain)> {
+        A_DOMAINS
+            .into_iter()
+            .flat_map(|ea| B_DOMAINS.map(|eb| (ea, eb)))
+            .collect()
+    }
+
+    #[test]
+    fn transposed_dispatch_matches_plain() {
+        assert_gemm_cells(&TRANSPOSES, &[(None, None)], false);
+    }
+
+    #[test]
+    fn packed_operands_agree_with_f32_operands() {
+        // Packed operands, with and without a scale shift, in every
+        // operand position of the plain product.
+        assert_gemm_cells(&[Transpose::None], &all_domains(), false);
+    }
+
+    #[test]
+    fn transposed_packed_operands_agree() {
+        assert_gemm_cells(&[Transpose::A, Transpose::B], &all_domains(), false);
     }
 
     #[test]
     fn cached_weight_operand_matches_per_call_preparation() {
-        // The prepared×prepared entry points fed from an OperandCache must
-        // reproduce the per-call gemm_*_op results under every backend, in
-        // both the A·Bᵀ (forward) and A·B (backward-dX) positions.
-        let w = Tensor::from_vec(vec![0.5, -1.0, 2.0, 0.25, 4.0, -0.125], &[2, 3]);
-        let x = [1.0f32, -2.0, 0.5, 8.0, 0.25, -1.0]; // [2, 3]
-        for bk in backends() {
-            let mut cache = OperandCache::new();
-            let mut want = vec![0.0f32; 4];
-            bk.gemm_a_bt_op(2, 3, 2, Operand::F32(&x), w.operand(), &mut want);
-            for _ in 0..2 {
-                let xp = bk.prepare_operand(Operand::F32(&x));
-                let wp = bk.prepare_tensor_cached(&w, &mut cache);
-                let mut c = vec![0.0f32; 4];
-                xp.gemm_a_bt_prepared(2, 3, 2, &wp, &mut c);
-                assert_eq!(c, want, "{} a_bt", bk.name());
-            }
-            // Caches engage for everything but the free-borrow f32 case.
-            assert_eq!(cache.is_cached(), bk != Backend::F32);
-
-            let w_t = w.transpose2(); // [3, 2] so W is the B of a plain gemm
-            let mut cache_t = OperandCache::new();
-            let mut want = vec![0.0f32; 4];
-            bk.gemm_op(2, 3, 2, Operand::F32(&x), w_t.operand(), &mut want);
-            let xp = bk.prepare_operand(Operand::F32(&x));
-            let wp = bk.prepare_tensor_cached(&w_t, &mut cache_t);
-            let mut c = vec![0.0f32; 4];
-            xp.gemm_prepared(2, 3, 2, &wp, &mut c);
-            assert_eq!(c, want, "{} plain", bk.name());
-        }
+        // Both operands through prepare_tensor_cached, in every transpose
+        // position (the ΔW-layout prepared×prepared cell included).
+        assert_gemm_cells(&TRANSPOSES, &all_domains(), true);
     }
 
     #[test]
@@ -921,10 +752,10 @@ mod tests {
         let x = [1.0f32, 0.0, 0.0, 1.0];
         let mut cache = OperandCache::new();
         let run = |w: &Tensor, cache: &mut OperandCache, bk: Backend| {
-            let xp = bk.prepare_operand(Operand::F32(&x));
+            let xp = bk.prepare(Operand::F32(&x));
             let wp = bk.prepare_tensor_cached(w, cache);
             let mut c = vec![0.0f32; 4];
-            xp.gemm_prepared(2, 2, 2, &wp, &mut c);
+            xp.gemm(Transpose::None, 2, 2, 2, &wp, &mut c);
             c
         };
         assert_eq!(run(&w, &mut cache, qui), vec![1.0, 2.0, 3.0, 4.0]);
@@ -951,10 +782,10 @@ mod tests {
             fmt: FMT,
             rounding: Rounding::NearestEven,
         };
-        let pa = Backend::F32.prepare_operand(Operand::F32(&a));
-        let pb = qui.prepare_operand(Operand::F32(&b));
+        let pa = Backend::F32.prepare(Operand::F32(&a));
+        let pb = qui.prepare(Operand::F32(&b));
         let mut c = vec![0.0f32; 1];
-        pa.gemm_prepared(1, 2, 1, &pb, &mut c);
+        pa.gemm(Transpose::None, 1, 2, 1, &pb, &mut c);
     }
 
     #[test]
@@ -978,9 +809,25 @@ mod tests {
         let a = [1.0f32, (-13f32).exp2(), (-20f32).exp2()];
         let b = [1.0f32, 1.0, (-20f32).exp2()];
         let mut ce = vec![0.0f32; 1];
-        emu.gemm(1, 3, 1, &a, &b, &mut ce);
+        emu.gemm(
+            Transpose::None,
+            1,
+            3,
+            1,
+            Operand::F32(&a),
+            Operand::F32(&b),
+            &mut ce,
+        );
         let mut cq = vec![0.0f32; 1];
-        qui.gemm(1, 3, 1, &a, &b, &mut cq);
+        qui.gemm(
+            Transpose::None,
+            1,
+            3,
+            1,
+            Operand::F32(&a),
+            Operand::F32(&b),
+            &mut cq,
+        );
         assert_eq!(ce[0], 1.0, "sandwich ties to even after dropping 2^-40");
         let up = 1.0 + (-12f32).exp2();
         assert_eq!(cq[0], up, "quire keeps 2^-40 and rounds up");
@@ -1010,12 +857,20 @@ mod tests {
         let one = Tensor::from_vec(vec![16.0], &[1, 1]); // exact in (8,1)
                                                          // Packed path: exact product 1.0625.
         let mut c = vec![0.0f32; 1];
-        qui.gemm_op(1, 1, 1, packed.operand(), one.operand(), &mut c);
+        qui.gemm(
+            Transpose::None,
+            1,
+            1,
+            1,
+            packed.operand(),
+            one.operand(),
+            &mut c,
+        );
         assert_eq!(c, vec![1.0625], "packed plane keeps the shifted value");
         // f32 path: the operand re-rounds to the nearest (8,1) posit
         // (0.0625 or 0.078125 — the tail is gone either way).
         let mut c = vec![0.0f32; 1];
-        qui.gemm_op(1, 1, 1, t.operand(), one.operand(), &mut c);
+        qui.gemm(Transpose::None, 1, 1, 1, t.operand(), one.operand(), &mut c);
         assert_ne!(c, vec![1.0625], "f32 staging re-rounds the operand");
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::posit_gemm::{PositGemm, PositPlane, Unpacked, ZERO_ELEM};
 use crate::tensor::Tensor;
-use crate::{Backend, GradQuireBuf, PreparedOperand};
+use crate::{Backend, GradQuireBuf, Operand, PreparedOperand, Transpose};
 use std::sync::OnceLock;
 
 /// Geometry of a 2-D convolution.
@@ -148,8 +148,8 @@ pub fn col2im(col: &[f32], g: &ConvGeom, output: &mut [f32]) {
 
 /// Append one `[C,H,W]` sample's receptive fields to `panel` as `OH*OW`
 /// rows of `C*KH*KW` elements — the transposed unfold, already in the
-/// `Bᵀ` panel layout [`PositGemm::gemm_a_bt`] consumes, so the forward
-/// GEMM packs nothing.
+/// `Bᵀ` panel layout [`PositGemm::gemm`] reads under [`Transpose::B`], so
+/// the forward GEMM packs nothing.
 fn gather_patches(input: &[Unpacked], g: &ConvGeom, panel: &mut Vec<Unpacked>) {
     debug_assert_eq!(input.len(), g.sample_len());
     for oy in 0..g.out_h() {
@@ -209,13 +209,13 @@ pub fn conv2d(
     stride: usize,
     pad: usize,
 ) -> Tensor {
-    let w_prep = Backend::F32.prepare_operand(weight.operand());
+    let w_prep = Backend::F32.prepare(weight.operand());
     conv2d_prepared(&w_prep, weight.shape(), input, bias, stride, pad)
 }
 
 /// Forward convolution under the backend a weight operand was prepared
 /// with (`weight_shape` is its `[O,C,KH,KW]` shape): prepare once per call
-/// with [`crate::Backend::prepare_operand`], or once per weight update
+/// with [`crate::Backend::prepare`], or once per weight update
 /// with [`crate::Backend::prepare_tensor_cached`]. A posit-packed weight
 /// matching a [`crate::Backend::PositQuire`] format is decoded straight
 /// from its code words.
@@ -271,6 +271,7 @@ pub fn conv2d_prepared(
         return out;
     }
     let (rows, cols) = (g.col_rows(), g.col_cols());
+    let backend = w_prep.backend();
     let mut col = vec![0.0f32; rows * cols];
     let sample = g.sample_len();
     for (x, dst) in input
@@ -279,7 +280,8 @@ pub fn conv2d_prepared(
         .zip(out.data_mut().chunks_exact_mut(o * cols))
     {
         im2col(x, &g, &mut col);
-        w_prep.gemm(o, rows, cols, &col, dst);
+        let col_prep = backend.prepare(Operand::F32(&col));
+        w_prep.gemm(Transpose::None, o, rows, cols, &col_prep, dst);
         add_bias(dst, bias, cols);
     }
     out
@@ -297,7 +299,8 @@ fn add_bias(dst: &mut [f32], bias: Option<&[f32]>, cols: usize) {
 }
 
 /// The lowered quire forward over an encoded `[N,C,H,W]` input plane, in
-/// blocks of `block` samples: gather, one `gemm_a_bt`, scatter + bias.
+/// blocks of `block` samples: gather, one [`Transpose::B`] GEMM, scatter +
+/// bias.
 #[allow(clippy::too_many_arguments)]
 fn forward_lowered(
     kernel: &PositGemm,
@@ -324,7 +327,7 @@ fn forward_lowered(
         }
         let panel = PositPlane::from_elems(kernel.format(), 0, panel);
         let mut y = vec![0.0f32; o * width];
-        kernel.gemm_a_bt(o, rows, width, w_plane, &panel, &mut y);
+        kernel.gemm(Transpose::B, o, rows, width, w_plane, &panel, &mut y);
         for (bi, dst) in outs.chunks_exact_mut(o * cols).enumerate() {
             for (oc, d) in dst.chunks_exact_mut(cols).enumerate() {
                 d.copy_from_slice(&y[oc * width + bi * cols..][..cols]);
@@ -343,8 +346,9 @@ fn forward_lowered(
 ///   `[O, N·OH·OW]` and the input — encoded once under `backend` — gathered
 ///   to `[C·KH·KW, N·OH·OW]`;
 /// - with a `weight` (the `[O, C·KH·KW]` weight prepared under `backend`),
-///   `dX` is one `gemm_at_b` followed by col2im per sample, returned as
-///   `[N,C,H,W]`; without one no input gradient is computed (`None`).
+///   `dX` is one [`Transpose::A`] GEMM per block of samples followed by
+///   col2im per sample, returned as `[N,C,H,W]`; without one no input
+///   gradient is computed (`None`).
 ///
 /// Every value is bit-identical to a per-sample loop feeding the same
 /// buffers, whatever the batch's shard split: the buffers sum exactly and
@@ -429,7 +433,7 @@ fn backward_lowered(
         }
         if let Some((w_plane, out)) = dx.as_mut() {
             let mut dcol = vec![0.0f32; rows * width];
-            kernel.gemm_at_b(rows, o, width, w_plane, &dy_plane, &mut dcol);
+            kernel.gemm(Transpose::A, rows, o, width, w_plane, &dy_plane, &mut dcol);
             for (bi, i) in (s0..s1).enumerate() {
                 fold(
                     &dcol,
@@ -586,7 +590,7 @@ mod tests {
                 rounding: Rounding::NearestEven,
             },
         ] {
-            let w_prep = backend.prepare_operand(weight.operand());
+            let w_prep = backend.prepare(weight.operand());
             let got = conv2d_prepared(&w_prep, weight.shape(), &input, None, 1, 1);
             assert_eq!(got.data(), want.data(), "{}", backend.name());
         }

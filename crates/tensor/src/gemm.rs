@@ -9,6 +9,24 @@
 use crate::workers;
 use std::sync::Mutex;
 
+/// Which GEMM operand is stored transposed. Every GEMM computes
+/// `C[m,n] += A[m,k]·B[k,n]`; the tag says how the operands are laid out:
+///
+/// * `None` — `A` stored `[m, k]`, `B` stored `[k, n]` (the forward
+///   `A·W` shape);
+/// * `A` — `A` stored `[k, m]` (the `Eᵀ·A` weight-gradient shape);
+/// * `B` — `B` stored `[n, k]` (a weight stored `[out, in]` on the
+///   right-hand side).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transpose {
+    /// Neither operand is transposed.
+    None,
+    /// `A` is stored transposed, as `[k, m]`.
+    A,
+    /// `B` is stored transposed, as `[n, k]`.
+    B,
+}
+
 /// A take-once slot handing a parallel task its disjoint output block.
 type BlockSlot<'a, T> = Mutex<Option<(usize, &'a mut [T])>>;
 

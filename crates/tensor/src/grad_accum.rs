@@ -19,7 +19,9 @@
 //! element conventions, and a single [`GradQuireBuf::round_into`] at the
 //! end of the batch.
 
-use crate::posit_gemm::{note_kstrip_tally, KStrip, PositPlane, Unpacked, BUCKET_SLOTS, MRB, NRB};
+use crate::posit_gemm::{
+    kernel_rounding, note_kstrip_tally, KStrip, PositPlane, Unpacked, BUCKET_SLOTS, MRB, NRB,
+};
 use posit::{NarrowQuire, PositFormat, Quire, Rounding};
 
 /// One exact quire accumulator per gradient element, mergeable across
@@ -57,11 +59,7 @@ impl GradQuireBuf {
         k_total: usize,
         len: usize,
     ) -> GradQuireBuf {
-        let rounding = if rounding == Rounding::Stochastic {
-            Rounding::NearestEven
-        } else {
-            rounding
-        };
+        let rounding = kernel_rounding(rounding);
         let accs = match NarrowQuire::try_new(fmt, margin, k_total.max(1)) {
             Some(proto) => Accs::Narrow(vec![proto; len]),
             None => Accs::Wide(vec![Quire::with_margin(fmt, margin); len]),
@@ -135,9 +133,10 @@ impl GradQuireBuf {
     }
 
     /// `buf[m,n] += aᵀ[m,k]·b[k,n]` with `a` stored `[k, m]` — the exact
-    /// accumulation twin of [`crate::PositGemm::gemm_at_b`], minus the
-    /// rounding (which happens once, in [`GradQuireBuf::round_into`]). This
-    /// is the linear layer's `ΔW += dYᵀ·X` shape.
+    /// accumulation twin of [`crate::PositGemm::gemm`] under
+    /// [`crate::Transpose::A`], minus the rounding (which happens once, in
+    /// [`GradQuireBuf::round_into`]). This is the linear layer's
+    /// `ΔW += dYᵀ·X` shape.
     ///
     /// # Panics
     ///
@@ -171,9 +170,10 @@ impl GradQuireBuf {
     }
 
     /// `buf[m,n] += a[m,k]·bᵀ[k,n]` with `b` stored `[n, k]` — the exact
-    /// accumulation twin of [`crate::PositGemm::gemm_a_bt`]. This is the
-    /// conv layer's batch-wide `ΔW += dY·colᵀ` shape (`k` spans every
-    /// output position of every sample in the call).
+    /// accumulation twin of [`crate::PositGemm::gemm`] under
+    /// [`crate::Transpose::B`]. This is the conv layer's batch-wide
+    /// `ΔW += dY·colᵀ` shape (`k` spans every output position of every
+    /// sample in the call).
     ///
     /// Narrow buffers run the GEMM's K-strip register tile straight into
     /// the stored accumulators: `i32` fraction products summed into `i64`
@@ -358,6 +358,7 @@ impl GradQuireBuf {
 mod tests {
     use super::*;
     use crate::posit_gemm::PositGemm;
+    use crate::Transpose;
 
     fn plane(fmt: PositFormat, xs: &[f32]) -> PositPlane {
         PositPlane::from_f32(fmt, xs, Rounding::NearestEven)
@@ -378,7 +379,15 @@ mod tests {
             .collect();
         let g = PositGemm::new(fmt, Rounding::NearestEven);
         let mut want = vec![0.0f32; o * feat];
-        g.gemm_at_b(o, n, feat, &plane(fmt, &dy), &plane(fmt, &x), &mut want);
+        g.gemm(
+            Transpose::A,
+            o,
+            n,
+            feat,
+            &plane(fmt, &dy),
+            &plane(fmt, &x),
+            &mut want,
+        );
 
         let mut buf = GradQuireBuf::new(fmt, Rounding::NearestEven, 0, n, o * feat);
         buf.accumulate_at_b(o, n, feat, &plane(fmt, &dy), &plane(fmt, &x));
@@ -406,7 +415,15 @@ mod tests {
             }
             t
         };
-        g.gemm_a_bt(o, n, feat, &plane(fmt, &dy_t), &plane(fmt, &x_t), &mut want);
+        g.gemm(
+            Transpose::B,
+            o,
+            n,
+            feat,
+            &plane(fmt, &dy_t),
+            &plane(fmt, &x_t),
+            &mut want,
+        );
         let mut buf = GradQuireBuf::new(fmt, Rounding::NearestEven, 0, n, o * feat);
         buf.accumulate_a_bt(o, n, feat, &plane(fmt, &dy_t), &plane(fmt, &x_t));
         let mut got = vec![0.0f32; o * feat];

@@ -29,7 +29,7 @@ mod tensor;
 pub mod workers;
 
 pub use backend::{Backend, Operand, OperandCache, PreparedOperand};
-pub use gemm::par_map_indexed;
+pub use gemm::{par_map_indexed, Transpose};
 pub use grad_accum::GradQuireBuf;
 pub use posit_gemm::{KStripMode, PositGemm, PositPlane};
 pub use storage::{PackedBits, Storage, StorageDomain, StorageError};

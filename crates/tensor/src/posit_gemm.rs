@@ -29,8 +29,8 @@
 //!   whole `K` loop, so operand elements stream linearly and each loaded
 //!   element feeds `MR` or `NR` multiplies.
 //!
-//! The kernel family mirrors the f32 entry points in [`crate::gemm`]
-//! (`gemm`, `gemm_at_b`, `gemm_a_bt`) with identical shape conventions and
+//! [`PositGemm::gemm`] mirrors the three f32 kernels in [`crate::gemm`]
+//! behind one [`Transpose`] tag, with identical shape conventions and
 //! the same static row partitioner (now on the persistent worker pool), so
 //! the `nn` layers can swap backends without reshaping anything. Exactness
 //! makes all of this bit-transparent: narrow vs wide, tiled vs scalar and
@@ -38,8 +38,9 @@
 //! the exhaustive cross-checks in `tests/posit_gemm_exhaustive.rs` pin
 //! against exact rational arithmetic.
 
-use crate::gemm::par_rows;
+use crate::gemm::{par_rows, Transpose};
 use posit::{NarrowQuire, PositFormat, PositValue, Quire, Rounding};
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 /// Cached handles for the kernel-path counters (`tensor.*` namespace in
@@ -815,6 +816,16 @@ pub enum KStripMode {
 /// batching.
 const KSTRIP_AUTO_MIN_K: usize = 48;
 
+/// The rounding mode a kernel actually applies: stochastic rounding needs
+/// a per-element random word, which no GEMM kernel, sandwich quantizer or
+/// gradient buffer carries, so it degrades to nearest-even.
+pub(crate) fn kernel_rounding(rounding: Rounding) -> Rounding {
+    match rounding {
+        Rounding::Stochastic => Rounding::NearestEven,
+        r => r,
+    }
+}
+
 /// The posit GEMM kernel family: exact accumulation over [`PositPlane`]
 /// operands, one rounding per output element.
 ///
@@ -835,14 +846,9 @@ impl PositGemm {
     /// [`Rounding::Stochastic`] needs a per-element random word the kernel
     /// does not carry; it degrades to round-to-nearest-even.
     pub fn new(fmt: PositFormat, rounding: Rounding) -> PositGemm {
-        let rounding = if rounding == Rounding::Stochastic {
-            Rounding::NearestEven
-        } else {
-            rounding
-        };
         PositGemm {
             fmt,
-            rounding,
+            rounding: kernel_rounding(rounding),
             force_wide: false,
             kstrip: KStripMode::Auto,
         }
@@ -885,6 +891,11 @@ impl PositGemm {
     /// The kernel's format.
     pub fn format(&self) -> PositFormat {
         self.fmt
+    }
+
+    /// The rounding mode applied on store (never stochastic).
+    pub(crate) fn rounding(&self) -> Rounding {
+        self.rounding
     }
 
     /// Unpack f32 data into an operand plane for this kernel's format.
@@ -1134,13 +1145,19 @@ impl PositGemm {
         }
     }
 
-    /// `c += round(a[m,k] * b[k,n])` — the posit twin of [`crate::gemm::gemm`].
+    /// `c += round(a[m,k] * b[k,n])` — the posit twin of the f32 kernels
+    /// in [`crate::gemm`], with `t` naming the operand stored transposed
+    /// (see [`Transpose`]). The kernel reads row panels of `A` and column
+    /// panels of `B`, so only an operand stored the other way round is
+    /// repacked: [`Transpose::B`] packs nothing.
     ///
     /// # Panics
     ///
     /// Panics if the plane lengths disagree with the dimensions.
+    #[allow(clippy::too_many_arguments)]
     pub fn gemm(
         &self,
+        t: Transpose,
         m: usize,
         k: usize,
         n: usize,
@@ -1154,59 +1171,15 @@ impl PositGemm {
         assert_eq!(b.len(), k * n, "B length");
         assert_eq!(c.len(), m * n, "C length");
         let margin = a.quire_margin() + b.quire_margin();
-        let b_cols = transpose_elems(b.elems(), k, n);
-        self.gemm_panels(m, k, n, a.elems(), &b_cols, margin, c);
-    }
-
-    /// `c += round(a^T[m,k] * b[k,n])` with `a` stored `[k, m]` — the posit
-    /// twin of [`crate::gemm::gemm_at_b`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plane lengths disagree with the dimensions.
-    pub fn gemm_at_b(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a_t: &PositPlane,
-        b: &PositPlane,
-        c: &mut [f32],
-    ) {
-        assert_eq!(a_t.format(), self.fmt, "A^T plane format");
-        assert_eq!(b.format(), self.fmt, "B plane format");
-        assert_eq!(a_t.len(), k * m, "A^T length");
-        assert_eq!(b.len(), k * n, "B length");
-        assert_eq!(c.len(), m * n, "C length");
-        let margin = a_t.quire_margin() + b.quire_margin();
-        let a_rows = transpose_elems(a_t.elems(), k, m);
-        let b_cols = transpose_elems(b.elems(), k, n);
+        let a_rows = match t {
+            Transpose::A => Cow::Owned(transpose_elems(a.elems(), k, m)),
+            _ => Cow::Borrowed(a.elems()),
+        };
+        let b_cols = match t {
+            Transpose::B => Cow::Borrowed(b.elems()),
+            _ => Cow::Owned(transpose_elems(b.elems(), k, n)),
+        };
         self.gemm_panels(m, k, n, &a_rows, &b_cols, margin, c);
-    }
-
-    /// `c += round(a[m,k] * b^T[k,n])` with `b` stored `[n, k]` — the posit
-    /// twin of [`crate::gemm::gemm_a_bt`]. Both operands already sit in
-    /// panel layout, so this entry point packs nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plane lengths disagree with the dimensions.
-    pub fn gemm_a_bt(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &PositPlane,
-        b_t: &PositPlane,
-        c: &mut [f32],
-    ) {
-        assert_eq!(a.format(), self.fmt, "A plane format");
-        assert_eq!(b_t.format(), self.fmt, "B^T plane format");
-        assert_eq!(a.len(), m * k, "A length");
-        assert_eq!(b_t.len(), n * k, "B^T length");
-        assert_eq!(c.len(), m * n, "C length");
-        let margin = a.quire_margin() + b_t.quire_margin();
-        self.gemm_panels(m, k, n, a.elems(), b_t.elems(), margin, c);
     }
 }
 
@@ -1278,7 +1251,15 @@ mod tests {
         let want = fmt.to_f32(posit::quire::fused_dot(fmt, &xb, &yb));
         let g = PositGemm::new(fmt, Rounding::NearestEven);
         let mut c = [0.0f32];
-        g.gemm(1, xs.len(), 1, &plane(fmt, &xs), &plane(fmt, &ys), &mut c);
+        g.gemm(
+            Transpose::None,
+            1,
+            xs.len(),
+            1,
+            &plane(fmt, &xs),
+            &plane(fmt, &ys),
+            &mut c,
+        );
         assert_eq!(c[0], want);
     }
 
@@ -1290,7 +1271,15 @@ mod tests {
         let b: Vec<f32> = (0..k * n).map(|i| (i as f32 - 7.0) * 0.25).collect();
         let g = PositGemm::new(fmt, Rounding::NearestEven);
         let mut want = vec![0.0f32; m * n];
-        g.gemm(m, k, n, &plane(fmt, &a), &plane(fmt, &b), &mut want);
+        g.gemm(
+            Transpose::None,
+            m,
+            k,
+            n,
+            &plane(fmt, &a),
+            &plane(fmt, &b),
+            &mut want,
+        );
 
         let mut a_t = vec![0.0f32; k * m];
         for i in 0..m {
@@ -1299,7 +1288,15 @@ mod tests {
             }
         }
         let mut c = vec![0.0f32; m * n];
-        g.gemm_at_b(m, k, n, &plane(fmt, &a_t), &plane(fmt, &b), &mut c);
+        g.gemm(
+            Transpose::A,
+            m,
+            k,
+            n,
+            &plane(fmt, &a_t),
+            &plane(fmt, &b),
+            &mut c,
+        );
         assert_eq!(c, want, "gemm_at_b");
 
         let mut b_t = vec![0.0f32; n * k];
@@ -1309,7 +1306,15 @@ mod tests {
             }
         }
         let mut c = vec![0.0f32; m * n];
-        g.gemm_a_bt(m, k, n, &plane(fmt, &a), &plane(fmt, &b_t), &mut c);
+        g.gemm(
+            Transpose::B,
+            m,
+            k,
+            n,
+            &plane(fmt, &a),
+            &plane(fmt, &b_t),
+            &mut c,
+        );
         assert_eq!(c, want, "gemm_a_bt");
     }
 
@@ -1320,7 +1325,7 @@ mod tests {
         let a = plane(fmt, &[1.0, 0.0, 0.0, 1.0]);
         let b = plane(fmt, &[2.0, 0.0, 0.0, 2.0]);
         let mut c = vec![10.0f32; 4];
-        g.gemm(2, 2, 2, &a, &b, &mut c);
+        g.gemm(Transpose::None, 2, 2, 2, &a, &b, &mut c);
         assert_eq!(c, vec![12.0, 10.0, 10.0, 12.0]);
     }
 
@@ -1337,7 +1342,15 @@ mod tests {
         let b = [big, -big, 1.0];
         let g = PositGemm::new(fmt, Rounding::NearestEven);
         let mut c = [0.0f32];
-        g.gemm(1, 3, 1, &plane(fmt, &a), &plane(fmt, &b), &mut c);
+        g.gemm(
+            Transpose::None,
+            1,
+            3,
+            1,
+            &plane(fmt, &a),
+            &plane(fmt, &b),
+            &mut c,
+        );
         assert_eq!(c[0], small);
     }
 
@@ -1348,7 +1361,7 @@ mod tests {
         let a = plane(fmt, &[f32::NAN, 1.0, 2.0, 3.0]); // [2, 2]
         let b = plane(fmt, &[1.0, 0.0, 0.0, 1.0]);
         let mut c = vec![0.0f32; 4];
-        g.gemm(2, 2, 2, &a, &b, &mut c);
+        g.gemm(Transpose::None, 2, 2, 2, &a, &b, &mut c);
         assert!(c[0].is_nan() && c[1].is_nan(), "row with NaR");
         assert_eq!(&c[2..], &[2.0, 3.0], "clean row unaffected");
     }
@@ -1366,7 +1379,15 @@ mod tests {
         av[2 * k] = 0.0;
         let bv = vec![0.25f32; k * n];
         let mut c = vec![0.0f32; m * n];
-        g.gemm(m, k, n, &plane(fmt, &av), &plane(fmt, &bv), &mut c);
+        g.gemm(
+            Transpose::None,
+            m,
+            k,
+            n,
+            &plane(fmt, &av),
+            &plane(fmt, &bv),
+            &mut c,
+        );
         for i in 0..m {
             for j in 0..n {
                 let v = c[i * n + j];
@@ -1385,23 +1406,47 @@ mod tests {
         let g = PositGemm::new(fmt, Rounding::NearestEven);
         let empty = plane(fmt, &[]);
         let mut c: Vec<f32> = vec![];
-        g.gemm(0, 3, 4, &empty, &plane(fmt, &[0.0; 12]), &mut c);
-        g.gemm_at_b(0, 3, 4, &empty, &plane(fmt, &[0.0; 12]), &mut c);
-        g.gemm_a_bt(0, 3, 4, &empty, &plane(fmt, &[0.0; 12]), &mut c);
+        g.gemm(
+            Transpose::None,
+            0,
+            3,
+            4,
+            &empty,
+            &plane(fmt, &[0.0; 12]),
+            &mut c,
+        );
+        g.gemm(
+            Transpose::A,
+            0,
+            3,
+            4,
+            &empty,
+            &plane(fmt, &[0.0; 12]),
+            &mut c,
+        );
+        g.gemm(
+            Transpose::B,
+            0,
+            3,
+            4,
+            &empty,
+            &plane(fmt, &[0.0; 12]),
+            &mut c,
+        );
         assert!(c.is_empty());
 
         // k = 0: empty dot rounds to posit zero; C keeps its base.
         let mut c = vec![5.0f32; 6];
-        g.gemm(2, 0, 3, &empty, &empty, &mut c);
-        g.gemm_at_b(2, 0, 3, &empty, &empty, &mut c);
-        g.gemm_a_bt(2, 0, 3, &empty, &empty, &mut c);
+        g.gemm(Transpose::None, 2, 0, 3, &empty, &empty, &mut c);
+        g.gemm(Transpose::A, 2, 0, 3, &empty, &empty, &mut c);
+        g.gemm(Transpose::B, 2, 0, 3, &empty, &empty, &mut c);
         assert_eq!(c, vec![5.0; 6]);
 
         // n = 1 column output.
         let a = plane(fmt, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = plane(fmt, &[1.0, -1.0, 2.0]);
         let mut c = vec![0.0f32; 2];
-        g.gemm(2, 3, 1, &a, &b, &mut c);
+        g.gemm(Transpose::None, 2, 3, 1, &a, &b, &mut c);
         assert_eq!(c, vec![5.0, 11.0]);
     }
 
@@ -1435,8 +1480,8 @@ mod tests {
                 assert!(!wide.uses_narrow_path(0, k));
                 let mut c_fast = vec![0.0f32; m * n];
                 let mut c_wide = vec![0.0f32; m * n];
-                fast.gemm(m, k, n, &pa, &pb, &mut c_fast);
-                wide.gemm(m, k, n, &pa, &pb, &mut c_wide);
+                fast.gemm(Transpose::None, m, k, n, &pa, &pb, &mut c_fast);
+                wide.gemm(Transpose::None, m, k, n, &pa, &pb, &mut c_wide);
                 assert_eq!(c_fast, c_wide, "{fmt} ({m},{k},{n})");
             }
         }
@@ -1457,9 +1502,24 @@ mod tests {
         let bv: Vec<f32> = (0..k).map(|i| ((i % 5) as f32) * 0.25).collect();
         let mut c_auto = vec![0.0f32; 1];
         let mut c_wide = vec![0.0f32; 1];
-        g.gemm(1, k, 1, &plane(fmt, &av), &plane(fmt, &bv), &mut c_auto);
-        g.wide_accumulator(true)
-            .gemm(1, k, 1, &plane(fmt, &av), &plane(fmt, &bv), &mut c_wide);
+        g.gemm(
+            Transpose::None,
+            1,
+            k,
+            1,
+            &plane(fmt, &av),
+            &plane(fmt, &bv),
+            &mut c_auto,
+        );
+        g.wide_accumulator(true).gemm(
+            Transpose::None,
+            1,
+            k,
+            1,
+            &plane(fmt, &av),
+            &plane(fmt, &bv),
+            &mut c_wide,
+        );
         assert_eq!(c_auto, c_wide);
     }
 
@@ -1477,12 +1537,12 @@ mod tests {
         let (pa, pb) = (plane(fmt, &a), plane(fmt, &b));
         let mut c1 = vec![0.0f32; m * n];
         let mut c2 = vec![0.0f32; m * n];
-        g.gemm(m, k, n, &pa, &pb, &mut c1);
-        g.gemm(m, k, n, &pa, &pb, &mut c2);
+        g.gemm(Transpose::None, m, k, n, &pa, &pb, &mut c1);
+        g.gemm(Transpose::None, m, k, n, &pa, &pb, &mut c2);
         assert_eq!(c1, c2);
         // And the pooled split must equal a fully serial run.
         let mut c3 = vec![0.0f32; m * n];
-        crate::workers::serial_scope(|| g.gemm(m, k, n, &pa, &pb, &mut c3));
+        crate::workers::serial_scope(|| g.gemm(Transpose::None, m, k, n, &pa, &pb, &mut c3));
         assert_eq!(c1, c3, "pool vs serial");
     }
 }

@@ -586,11 +586,12 @@ impl Tensor {
         out
     }
 
-    /// Matrix product `self[M,K] × other[K,N]`, dispatching on storage
-    /// domain: two packed planes of the same posit format run on the
-    /// decode-once quire GEMM (exact accumulation, one rounding per output
-    /// element, nearest-even); any other combination runs on the blocked
-    /// parallel f32 kernel after decoding posit operands. The result is
+    /// Matrix product `self[M,K] × other[K,N]` through
+    /// [`crate::Backend::gemm`], with the backend chosen by storage domain:
+    /// two packed planes of the same posit format run on
+    /// [`crate::Backend::PositQuire`] (exact accumulation, one rounding per
+    /// output element, nearest-even); any other combination runs on
+    /// [`crate::Backend::F32`] after decoding posit operands. The result is
     /// always f32-domain.
     ///
     /// # Panics
@@ -602,20 +603,23 @@ impl Tensor {
         let (m, k) = (self.shape[0], self.shape[1]);
         let (k2, n) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "matmul inner dims {k} vs {k2}");
+        let backend = match (self.posit_bits(), other.posit_bits()) {
+            (Some((_, af, _)), Some((_, bf, _))) if af == bf => crate::Backend::PositQuire {
+                fmt: af,
+                rounding: Rounding::NearestEven,
+            },
+            _ => crate::Backend::F32,
+        };
         let mut out = Tensor::zeros(&[m, n]);
-        match (self.posit_bits(), other.posit_bits()) {
-            (Some((ab, af, ae)), Some((bb, bf, be))) if af == bf => {
-                let kernel = crate::posit_gemm::PositGemm::new(af, Rounding::NearestEven);
-                let pa = crate::posit_gemm::PositPlane::from_packed(af, ab, ae);
-                let pb = crate::posit_gemm::PositPlane::from_packed(bf, bb, be);
-                kernel.gemm(m, k, n, &pa, &pb, out.data_mut());
-            }
-            _ => {
-                let a = self.dense();
-                let b = other.dense();
-                crate::gemm::gemm(m, k, n, a.data(), b.data(), out.data_mut());
-            }
-        }
+        backend.gemm(
+            crate::Transpose::None,
+            m,
+            k,
+            n,
+            self.operand(),
+            other.operand(),
+            out.data_mut(),
+        );
         out
     }
 }

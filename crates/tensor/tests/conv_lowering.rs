@@ -12,7 +12,7 @@
 use posit::{PositFormat, Rounding};
 use posit_tensor::conv::{col2im, conv2d_backward_exact, conv2d_prepared, im2col, ConvGeom};
 use posit_tensor::rng::Prng;
-use posit_tensor::{Backend, GradQuireBuf, PositGemm, Tensor};
+use posit_tensor::{Backend, GradQuireBuf, PositGemm, Tensor, Transpose};
 
 /// One convolution problem.
 struct Case {
@@ -111,7 +111,15 @@ fn oracle(
     for i in 0..n {
         im2col(&x.data()[i * sample..(i + 1) * sample], g, &mut col);
         let dst = &mut y[i * o * cols..(i + 1) * o * cols];
-        fwd.gemm(o, rows, cols, &wf, &fwd.encode_plane(&col), dst);
+        fwd.gemm(
+            Transpose::None,
+            o,
+            rows,
+            cols,
+            &wf,
+            &fwd.encode_plane(&col),
+            dst,
+        );
         for (oc, &b) in bias.iter().enumerate() {
             for v in &mut dst[oc * cols..(oc + 1) * cols] {
                 *v += b;
@@ -134,7 +142,7 @@ fn oracle(
             }
         }
         let mut dcol = vec![0.0f32; rows * cols];
-        bwd.gemm_at_b(rows, o, cols, &wb, &dyp, &mut dcol);
+        bwd.gemm(Transpose::A, rows, o, cols, &wb, &dyp, &mut dcol);
         col2im(&dcol, g, &mut dx[i * sample..(i + 1) * sample]);
     }
     let mut dwv = vec![0.0f32; o * rows];
@@ -156,7 +164,7 @@ fn lowered_backward(
 ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
     let (g, o, n) = (&case.g, case.o, case.n);
     let (rows, cols) = (g.col_rows(), g.col_cols());
-    let w_prep = bwd.prepare_operand(w.operand());
+    let w_prep = bwd.prepare(w.operand());
     let mut dx = Vec::new();
     let mut dw = bwd.grad_quire_buf(o * rows, 0, n * cols).unwrap();
     let mut db = bwd.grad_quire_buf(o, 0, n * cols).unwrap();
@@ -225,7 +233,7 @@ fn lowered_conv_matches_the_per_sample_oracle() {
                     &bias,
                     &dy,
                 );
-                let w_prep = fwd.prepare_operand(w.operand());
+                let w_prep = fwd.prepare(w.operand());
                 let y = conv2d_prepared(&w_prep, w.shape(), &xin, Some(&bias), g.stride, g.pad);
                 assert_eq!(bits(y.data()), bits(&y0), "y {what}");
                 let half = n / 2;
@@ -260,7 +268,7 @@ fn backward_without_a_weight_skips_only_the_input_gradient() {
     };
     let (rows, cols) = (g.col_rows(), g.col_cols());
     let run = |with_weight: bool| {
-        let w_prep = bwd.prepare_operand(w.operand());
+        let w_prep = bwd.prepare(w.operand());
         let mut dw = bwd.grad_quire_buf(o * rows, 0, n * cols).unwrap();
         let mut db = bwd.grad_quire_buf(o, 0, n * cols).unwrap();
         let gx = conv2d_backward_exact(

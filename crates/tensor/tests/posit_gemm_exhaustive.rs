@@ -8,7 +8,7 @@
 
 use posit::exact::{decode_ref, Rational, RefRounder};
 use posit::{PositFormat, Rounding};
-use posit_tensor::{KStripMode, PackedBits, PositGemm, PositPlane};
+use posit_tensor::{KStripMode, PackedBits, PositGemm, PositPlane, Transpose};
 
 /// The 8-bit formats the paper trains with (es 0..=2).
 const NARROW_FMTS: [PositFormat; 3] = [
@@ -53,7 +53,7 @@ fn exhaustive_pairwise_products_match_exact_rationals() {
             let kernel = PositGemm::new(fmt, rounding);
             assert!(kernel.uses_narrow_path(0, 1), "{fmt} must run narrow");
             let mut c = vec![0.0f32; m * m];
-            kernel.gemm(m, 1, m, &a, &b, &mut c);
+            kernel.gemm(Transpose::None, m, 1, m, &a, &b, &mut c);
             for (i, &ca) in codes.iter().enumerate() {
                 for (j, &cb) in codes.iter().enumerate() {
                     let prod = exact(fmt, ca).mul(&exact(fmt, cb));
@@ -85,8 +85,8 @@ fn exhaustive_pairwise_products_forced_wide_agrees() {
             assert!(!wide.uses_narrow_path(0, 1));
             let mut c_fast = vec![0.0f32; m * m];
             let mut c_wide = vec![0.0f32; m * m];
-            fast.gemm(m, 1, m, &a, &b, &mut c_fast);
-            wide.gemm(m, 1, m, &a, &b, &mut c_wide);
+            fast.gemm(Transpose::None, m, 1, m, &a, &b, &mut c_fast);
+            wide.gemm(Transpose::None, m, 1, m, &a, &b, &mut c_wide);
             // Bitwise: NaN-free data, so f32 equality is bit equality.
             assert_eq!(c_fast, c_wide, "{fmt} {rounding:?}");
         }
@@ -129,7 +129,7 @@ fn exhaustive_dot_products_match_exact_accumulation() {
             for rounding in [Rounding::NearestEven, Rounding::ToZero] {
                 let kernel = PositGemm::new(fmt, rounding);
                 let mut c = vec![0.0f32; 1];
-                kernel.gemm(1, k, 1, &a, &b, &mut c);
+                kernel.gemm(Transpose::None, 1, k, 1, &a, &b, &mut c);
                 let want = fmt.to_f32(round_ref(&rounder, &sum, rounding));
                 assert_eq!(c[0], want, "{fmt} rotation {rotation}, {rounding:?}");
             }
@@ -169,10 +169,11 @@ fn sampled_p16_dots_match_exact_rationals() {
             assert!(fast.uses_narrow_path(0, k));
             let want = fmt.to_f32(round_ref(&rounder, &sum, rounding));
             let mut c = vec![0.0f32; 1];
-            fast.gemm(1, k, 1, &a, &b, &mut c);
+            fast.gemm(Transpose::None, 1, k, 1, &a, &b, &mut c);
             assert_eq!(c[0], want, "narrow trial {trial} k={k} {rounding:?}");
             let mut c = vec![0.0f32; 1];
-            fast.wide_accumulator(true).gemm(1, k, 1, &a, &b, &mut c);
+            fast.wide_accumulator(true)
+                .gemm(Transpose::None, 1, k, 1, &a, &b, &mut c);
             assert_eq!(c[0], want, "wide trial {trial} k={k} {rounding:?}");
         }
     }
@@ -213,8 +214,8 @@ fn forced_fallback_agrees_on_gemm_scale_inputs() {
     let wide = fast.wide_accumulator(true);
     let mut c_fast = vec![0.0f32; m * n];
     let mut c_wide = vec![0.0f32; m * n];
-    fast.gemm(m, k, n, &a, &b, &mut c_fast);
-    wide.gemm(m, k, n, &a, &b, &mut c_wide);
+    fast.gemm(Transpose::None, m, k, n, &a, &b, &mut c_fast);
+    wide.gemm(Transpose::None, m, k, n, &a, &b, &mut c_wide);
     for (i, (x, y)) in c_fast.iter().zip(&c_wide).enumerate() {
         assert!(
             x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
@@ -246,7 +247,7 @@ fn transposed_kernels_bitwise_agree_on_exhaustive_data() {
         let a = PositPlane::from_bits(fmt, a_codes);
         let b = PositPlane::from_bits(fmt, b_codes);
         let mut want = vec![0.0f32; m * n];
-        kernel.gemm(m, k, n, &a, &b, &mut want);
+        kernel.gemm(Transpose::None, m, k, n, &a, &b, &mut want);
 
         let mut at_codes = vec![0u64; k * m];
         for i in 0..m {
@@ -256,7 +257,7 @@ fn transposed_kernels_bitwise_agree_on_exhaustive_data() {
         }
         let a_t = PositPlane::from_bits(fmt, &at_codes);
         let mut c = vec![0.0f32; m * n];
-        kernel.gemm_at_b(m, k, n, &a_t, &b, &mut c);
+        kernel.gemm(Transpose::A, m, k, n, &a_t, &b, &mut c);
         assert_eq!(c, want, "{fmt} gemm_at_b");
 
         let mut bt_codes = vec![0u64; n * k];
@@ -267,7 +268,7 @@ fn transposed_kernels_bitwise_agree_on_exhaustive_data() {
         }
         let b_t = PositPlane::from_bits(fmt, &bt_codes);
         let mut c = vec![0.0f32; m * n];
-        kernel.gemm_a_bt(m, k, n, &a, &b_t, &mut c);
+        kernel.gemm(Transpose::B, m, k, n, &a, &b_t, &mut c);
         assert_eq!(c, want, "{fmt} gemm_a_bt");
     }
 }
@@ -366,8 +367,8 @@ fn kstrip_pairwise_products_bitwise_agree() {
             assert!(force.uses_kstrip_path(0, 1), "{fmt} must batch");
             let mut c_off = vec![0.0f32; m * m];
             let mut c_force = vec![0.0f32; m * m];
-            off.gemm(m, 1, m, &a, &b, &mut c_off);
-            force.gemm(m, 1, m, &a, &b, &mut c_force);
+            off.gemm(Transpose::None, m, 1, m, &a, &b, &mut c_off);
+            force.gemm(Transpose::None, m, 1, m, &a, &b, &mut c_force);
             assert_eq!(c_off, c_force, "{fmt} {rounding:?}");
         }
     }
@@ -416,8 +417,8 @@ fn kstrip_sampled_p16_sweeps_agree() {
         assert!(force.uses_kstrip_path(0, k), "k={k} must batch");
         let mut c_off = vec![0.0f32; m * n];
         let mut c_force = vec![0.0f32; m * n];
-        off.gemm(m, k, n, &a, &b, &mut c_off);
-        force.gemm(m, k, n, &a, &b, &mut c_force);
+        off.gemm(Transpose::None, m, k, n, &a, &b, &mut c_off);
+        force.gemm(Transpose::None, m, k, n, &a, &b, &mut c_force);
         for (i, (x, y)) in c_off.iter().zip(&c_force).enumerate() {
             assert!(
                 x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
@@ -460,8 +461,8 @@ fn kstrip_multi_strip_shapes_agree() {
         assert!(force.uses_kstrip_path(0, k), "k={k} must batch");
         let mut c_off = vec![0.0f32; m * n];
         let mut c_force = vec![0.0f32; m * n];
-        off.gemm(m, k, n, &a, &b, &mut c_off);
-        force.gemm(m, k, n, &a, &b, &mut c_force);
+        off.gemm(Transpose::None, m, k, n, &a, &b, &mut c_off);
+        force.gemm(Transpose::None, m, k, n, &a, &b, &mut c_force);
         assert_eq!(c_off, c_force, "{m}x{k}x{n}");
     }
 }

@@ -11,7 +11,7 @@
 //! exactly once, before any pool touch.
 
 use posit::{PositFormat, Rounding};
-use posit_tensor::{gemm, par_map_indexed, serial_scope, Backend, Operand, PositGemm};
+use posit_tensor::{gemm, par_map_indexed, serial_scope, Backend, Operand, PositGemm, Transpose};
 
 #[test]
 fn pooled_kernels_match_serial_bit_for_bit() {
@@ -37,13 +37,13 @@ fn pooled_kernels_match_serial_bit_for_bit() {
     let pa = kernel.encode_plane(&a);
     let pb = kernel.encode_plane(&b);
     let mut q_pool = vec![0.0f32; m * n];
-    kernel.gemm(m, k, n, &pa, &pb, &mut q_pool);
+    kernel.gemm(Transpose::None, m, k, n, &pa, &pb, &mut q_pool);
     let mut q_serial = vec![0.0f32; m * n];
-    serial_scope(|| kernel.gemm(m, k, n, &pa, &pb, &mut q_serial));
+    serial_scope(|| kernel.gemm(Transpose::None, m, k, n, &pa, &pb, &mut q_serial));
     assert_eq!(q_pool, q_serial, "posit gemm pool vs serial");
     // And repeated pooled runs are deterministic.
     let mut q_again = vec![0.0f32; m * n];
-    kernel.gemm(m, k, n, &pa, &pb, &mut q_again);
+    kernel.gemm(Transpose::None, m, k, n, &pa, &pb, &mut q_again);
     assert_eq!(q_pool, q_again, "pooled run determinism");
 
     // Thin-lane fallback: an fc1-shaped GEMM (m = 32, k = 256, n = 128)
@@ -74,9 +74,9 @@ fn pooled_kernels_match_serial_bit_for_bit() {
     let paf = kern16.encode_plane(&af);
     let pbf = kern16.encode_plane(&bf);
     let mut qf_pool = vec![0.0f32; mf * nf];
-    kern16.gemm(mf, kf, nf, &paf, &pbf, &mut qf_pool);
+    kern16.gemm(Transpose::None, mf, kf, nf, &paf, &pbf, &mut qf_pool);
     let mut qf_serial = vec![0.0f32; mf * nf];
-    serial_scope(|| kern16.gemm(mf, kf, nf, &paf, &pbf, &mut qf_serial));
+    serial_scope(|| kern16.gemm(Transpose::None, mf, kf, nf, &paf, &pbf, &mut qf_serial));
     assert_eq!(qf_pool, qf_serial, "fc1 shape pool vs serial");
 
     // Uneven lane split: row counts that do not divide by the 4-lane
@@ -98,9 +98,9 @@ fn pooled_kernels_match_serial_bit_for_bit() {
         let pau = kernel.encode_plane(&au);
         let pbu = kernel.encode_plane(&bu);
         let mut qu_pool = vec![0.0f32; mu * nu];
-        kernel.gemm(mu, ku, nu, &pau, &pbu, &mut qu_pool);
+        kernel.gemm(Transpose::None, mu, ku, nu, &pau, &pbu, &mut qu_pool);
         let mut qu_serial = vec![0.0f32; mu * nu];
-        serial_scope(|| kernel.gemm(mu, ku, nu, &pau, &pbu, &mut qu_serial));
+        serial_scope(|| kernel.gemm(Transpose::None, mu, ku, nu, &pau, &pbu, &mut qu_serial));
         assert_eq!(qu_pool, qu_serial, "uneven posit gemm {mu}x{ku}x{nu}");
     }
 

@@ -32,10 +32,14 @@ if [ "$quick" -eq 0 ]; then
     echo "==> cargo test -q --release -p posit-store --test store_exhaustive"
     cargo test -q --release -p posit-store --test store_exhaustive
     # The batch-wide quire convolutions: the debug run above pins the
-    # lowering, but the K-strip tile and the panel gathers it exercises
-    # only run their release code here.
+    # lowering, but the fixed-point tile and the panel gathers it
+    # exercises only run their release code here.
     echo "==> cargo test -q --release -p posit-tensor --test conv_lowering"
     cargo test -q --release -p posit-tensor --test conv_lowering
+    # The kernel unit tests (fixed-point tiers, gradient-buffer tiles,
+    # bias sums) on their release code.
+    echo "==> cargo test -q --release -p posit-tensor --lib"
+    cargo test -q --release -p posit-tensor --lib
     # The exact data-parallel determinism suite re-runs in release on a
     # forced 4-thread pool: the debug run above already covers the sweep,
     # but the narrow-quire fast paths and the pooled kernels only run

@@ -23,7 +23,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use posit::{PositFormat, Rounding};
 use posit_models::{lenet_gemm_shapes, mlp_gemm_shapes, GemmShape};
 use posit_tensor::rng::Prng;
-use posit_tensor::{serial_scope, Backend, KStripMode, Operand, PositGemm, PositPlane, Transpose};
+use posit_tensor::{serial_scope, Backend, Operand, PositGemm, PositPlane, Transpose};
 use std::hint::black_box;
 
 fn bench_shapes() -> Vec<GemmShape> {
@@ -71,26 +71,6 @@ fn bench_backends(c: &mut Criterion) {
             bch.iter(|| {
                 let mut out = vec![0.0f32; m * n];
                 kernel.gemm(
-                    Transpose::None,
-                    m,
-                    k,
-                    n,
-                    black_box(&pa),
-                    black_box(&pb),
-                    &mut out,
-                );
-                out
-            })
-        });
-        // K-strip batched micro-kernel pinned on: preplaned with
-        // `KStripMode::Force`, so the row tracks the batched kernel even
-        // at depths where the Auto heuristic would stay scalar
-        // (bit-identical results either way).
-        let swar = kernel.kstrip(KStripMode::Force);
-        g.bench_function("posit-quire-swar", |bch| {
-            bch.iter(|| {
-                let mut out = vec![0.0f32; m * n];
-                swar.gemm(
                     Transpose::None,
                     m,
                     k,

@@ -131,9 +131,8 @@ fn instrumented_training_is_bit_identical_and_exports_metrics() {
     // quire GEMM path counters, the plane-decode route counters, at least
     // one labeled quantization edge, and the step-span histogram.
     let snap = posit_obs::Registry::global().snapshot();
-    let gemm_calls = snap.counter("tensor.gemm.narrow_calls")
-        + snap.counter("tensor.gemm.wide_calls")
-        + snap.counter("tensor.gemm.kstrip_calls");
+    let gemm_calls =
+        snap.counter("tensor.gemm.narrow_calls") + snap.counter("tensor.gemm.wide_calls");
     assert!(
         gemm_calls > 0,
         "no GEMM path counters recorded:\n{}",

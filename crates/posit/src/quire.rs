@@ -509,53 +509,37 @@ impl NarrowQuire {
         self.acc += if negative { -v } else { v };
     }
 
-    /// Accumulate a batched group of products that share one `scale_sum` —
-    /// the K-strip fast path: the caller sums the narrow fraction products
-    /// first and this does **one** `i128` shift-add for the whole group
-    /// instead of one per element.
-    ///
-    /// `sum` is `Σ ±(sig_a >> (64-width)) · (sig_b >> (64-width))` over the
-    /// group, where `width` is the format's small-significand width
-    /// `n - 2 - es` (so each right shift drops only guaranteed-zero bits
-    /// and the full 128-bit product of a term is its narrow product shifted
-    /// left by `128 - 2·width`). The group contribution is therefore
-    /// `sum · 2^(scale_sum + 2 - 2·width - 126)`, applied here as a single
-    /// shift — exact in both directions because every term (hence the sum)
-    /// carries the trailing-zero guarantee of
-    /// [`NarrowQuire::add_product_parts`].
+    /// Accumulate an exact fixed-point sum whose bit 0 weighs
+    /// `2^lsb_scale` — the store of the fixed-point GEMM kernels, which sum
+    /// integer multiples of `minpos` and fold the whole sum in with **one**
+    /// shift instead of one shift-add per product. The shift is
+    /// `lsb_scale − (2·min_scale − margin)`: a left shift, exact by
+    /// construction.
     ///
     /// # Panics
     ///
-    /// Panics when `scale_sum` falls outside the accumulable range — the
-    /// same hardening as the per-element path.
+    /// Panics when `lsb_scale` lies below the accumulator's LSB or so far
+    /// above it that the shift leaves the `i128` (operands from a wider
+    /// format, or a scale shift beyond the construction margin) — the same
+    /// hardening as [`NarrowQuire::add_product_parts`].
     #[inline(always)]
-    pub fn add_group(&mut self, scale_sum: i32, width: u32, sum: i64) {
-        let shr = 126 + self.emin - scale_sum;
-        if !(1..=127).contains(&shr) {
+    pub fn add_fixed(&mut self, sum: i128, lsb_scale: i32) {
+        let sh = lsb_scale - self.emin;
+        if !(0..=126).contains(&sh) {
             panic!(
-                "NarrowQuire::add_group: scale_sum {scale_sum} outside the \
-                 accumulable range [{}, {}] of this {} accumulator (operands from a \
-                 wider format, or a scale shift beyond the construction margin?)",
-                self.emin - 1,
-                self.emin + 125,
+                "NarrowQuire::add_fixed: lsb_scale {lsb_scale} outside the accumulable \
+                 range [{}, {}] of this {} accumulator (operands from a wider format, \
+                 or a scale shift beyond the construction margin?)",
+                self.emin,
+                self.emin + 126,
                 self.fmt
             );
         }
-        let sh = 128 - 2 * width as i32 - shr;
-        let v = sum as i128;
-        self.acc += if sh >= 0 {
-            debug_assert!(
-                128 - v.unsigned_abs().leading_zeros() as i32 + sh <= 127,
-                "group sum overflows the accumulator (K budget exceeded?)"
-            );
-            v << sh
-        } else {
-            debug_assert!(
-                v.trailing_zeros() as i32 >= -sh,
-                "group bits below the accumulator LSB (width too large?)"
-            );
-            v >> -sh
-        };
+        debug_assert!(
+            sum.unsigned_abs().leading_zeros() as i32 > sh,
+            "fixed-point sum overflows the accumulator (K budget exceeded?)"
+        );
+        self.acc += sum << sh;
     }
 
     /// Accumulate the exact product `a * b` of two code words (decoding
@@ -655,10 +639,20 @@ mod tests {
 
     #[test]
     fn narrow_add_group_is_exactly_the_per_element_sum() {
-        use std::collections::BTreeMap;
+        // A group of products summed as fixed-point words (integer
+        // multiples of minpos) and folded in with one `add_fixed`, against
+        // the per-element path — with and without a construction margin,
+        // which moves the fold's shift off zero.
         for (n, es) in [(8u32, 0u32), (8, 1), (8, 2), (16, 1)] {
             let fmt = PositFormat::of(n, es);
-            let width = n - 2 - es;
+            let word = |d: &crate::Decoded| -> i128 {
+                let v = (d.significand() >> (63 - (d.scale - fmt.min_scale()))) as i128;
+                if d.sign.is_negative() {
+                    -v
+                } else {
+                    v
+                }
+            };
             let mut state = 0x1234_5678_9ABC_DEF1u64;
             let mut next = move || {
                 state = state
@@ -666,37 +660,40 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 state >> 17
             };
-            for _ in 0..300 {
-                let mut q = NarrowQuire::try_new(fmt, 0, 64).unwrap();
-                // One strip of products, bucketed by scale_sum.
-                let mut sums: BTreeMap<i32, i64> = BTreeMap::new();
-                let mut elems = Vec::new();
-                for _ in 0..16 {
-                    let (a, b) = (next() & fmt.mask(), next() & fmt.mask());
-                    let (da, db) = match (fmt.decode(a), fmt.decode(b)) {
-                        (PositValue::Finite(da), PositValue::Finite(db)) => (da, db),
-                        _ => continue,
-                    };
-                    let sa = (da.significand() >> (64 - width)) as i64;
-                    let sb = (db.significand() >> (64 - width)) as i64;
-                    let p = sa * sb;
-                    let signed = if da.sign != db.sign { -p } else { p };
-                    *sums.entry(da.scale + db.scale).or_insert(0) += signed;
-                    elems.push((da, db));
+            for margin in [0u32, 3] {
+                for _ in 0..300 {
+                    let mut q = NarrowQuire::try_new(fmt, margin, 64).unwrap();
+                    let mut sum = 0i128;
+                    let mut elems = Vec::new();
+                    for _ in 0..16 {
+                        let (a, b) = (next() & fmt.mask(), next() & fmt.mask());
+                        let (da, db) = match (fmt.decode(a), fmt.decode(b)) {
+                            (PositValue::Finite(da), PositValue::Finite(db)) => (da, db),
+                            _ => continue,
+                        };
+                        sum += word(&da) * word(&db);
+                        elems.push((da, db));
+                    }
+                    q.add_fixed(sum, 2 * fmt.min_scale());
+                    // Subtracting every product per element must return the
+                    // accumulator exactly to zero — integer equality, not a
+                    // rounded comparison.
+                    for (da, db) in elems {
+                        let prod = (da.significand() as u128) * (db.significand() as u128);
+                        q.add_product_parts(da.sign == db.sign, da.scale + db.scale, prod);
+                    }
+                    assert!(q.is_zero(), "({n},{es}) margin {margin}");
                 }
-                for (ss, sum) in sums {
-                    q.add_group(ss, width, sum);
-                }
-                // Subtracting every product per element must return the
-                // accumulator exactly to zero — integer equality, not a
-                // rounded comparison.
-                for (da, db) in elems {
-                    let prod = (da.significand() as u128) * (db.significand() as u128);
-                    q.add_product_parts(da.sign == db.sign, da.scale + db.scale, prod);
-                }
-                assert!(q.is_zero(), "({n},{es})");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the accumulable range")]
+    fn add_fixed_below_the_lsb_panics() {
+        let fmt = PositFormat::of(8, 1);
+        let mut q = NarrowQuire::try_new(fmt, 0, 1).unwrap();
+        q.add_fixed(1, 2 * fmt.min_scale() - 1);
     }
 
     #[test]

@@ -149,7 +149,8 @@ pub fn col2im(col: &[f32], g: &ConvGeom, output: &mut [f32]) {
 /// Append one `[C,H,W]` sample's receptive fields to `panel` as `OH*OW`
 /// rows of `C*KH*KW` elements — the transposed unfold, already in the
 /// `Bᵀ` panel layout [`PositGemm::gemm`] reads under [`Transpose::B`], so
-/// the forward GEMM packs nothing.
+/// the forward GEMM packs it into words in storage order, with no
+/// transpose.
 fn gather_patches(input: &[Unpacked], g: &ConvGeom, panel: &mut Vec<Unpacked>) {
     debug_assert_eq!(input.len(), g.sample_len());
     for oy in 0..g.out_h() {

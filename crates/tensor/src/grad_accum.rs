@@ -19,9 +19,7 @@
 //! element conventions, and a single [`GradQuireBuf::round_into`] at the
 //! end of the batch.
 
-use crate::posit_gemm::{
-    kernel_rounding, note_kstrip_tally, KStrip, PositPlane, Unpacked, BUCKET_SLOTS, MRB, NRB,
-};
+use crate::posit_gemm::{kernel_rounding, FixedPanel, FixedPanels, PositPlane, Unpacked};
 use posit::{NarrowQuire, PositFormat, Quire, Rounding};
 
 /// One exact quire accumulator per gradient element, mergeable across
@@ -138,6 +136,11 @@ impl GradQuireBuf {
     /// [`GradQuireBuf::round_into`]). This is the linear layer's
     /// `ΔW += dYᵀ·X` shape.
     ///
+    /// Narrow buffers pack both operands once into the GEMM's fixed-point
+    /// words and fold each output's exact integer dot product into its
+    /// stored accumulator with one [`NarrowQuire::add_fixed`]; wide buffers
+    /// take the per-MAC loop. Both compute the same exact sums.
+    ///
     /// # Panics
     ///
     /// Panics on format/length mismatches or operand margins beyond the
@@ -154,14 +157,14 @@ impl GradQuireBuf {
         assert_eq!(a_t.len(), k * m, "A^T length");
         assert_eq!(b.len(), k * n, "B length");
         assert_eq!(self.len(), m * n, "buffer length");
+        if self.accumulate_fixed(m, k, n, a_t, true, b, true) {
+            return;
+        }
         let (ae, be) = (a_t.elems(), b.elems());
         for t in 0..k {
             let a_row = &ae[t * m..(t + 1) * m];
             let b_row = &be[t * n..(t + 1) * n];
             for (i, &x) in a_row.iter().enumerate() {
-                if x.sig == 0 && !x.is_nar() {
-                    continue;
-                }
                 for (j, &y) in b_row.iter().enumerate() {
                     self.mac(i * n + j, x, y);
                 }
@@ -175,12 +178,9 @@ impl GradQuireBuf {
     /// `ΔW += dY·colᵀ` shape (`k` spans every output position of every
     /// sample in the call).
     ///
-    /// Narrow buffers run the GEMM's K-strip register tile straight into
-    /// the stored accumulators: `i32` fraction products summed into `i64`
-    /// buckets per scale, flushed with [`NarrowQuire::add_group`], over
-    /// panels zero-padded to whole tiles. Wide buffers, and formats whose
-    /// fraction words do not fit the tile, take the per-MAC loop. Both
-    /// compute the same exact sums.
+    /// Narrow buffers run the GEMM's fixed-point tile straight into the
+    /// stored accumulators (see [`GradQuireBuf::accumulate_at_b`]); wide
+    /// buffers take the per-MAC loop. Both compute the same exact sums.
     ///
     /// # Panics
     ///
@@ -201,41 +201,10 @@ impl GradQuireBuf {
         if m == 0 || n == 0 {
             return;
         }
-        let (ae, be) = (a.elems(), b_t.elems());
-        if let (Accs::Narrow(accs), Some(ks)) = (&mut self.accs, KStrip::new(self.fmt, self.margin))
-        {
-            let (mp, np) = (m.next_multiple_of(MRB), n.next_multiple_of(NRB));
-            let ap = ks.a_panel(ae, m, mp, k);
-            let bp = ks.b_panel(be, n, np, k);
-            let mut zero = accs[0];
-            zero.clear();
-            let obs_on = posit_obs::enabled();
-            let mut tally = [0u64; 2];
-            let mut buckets = [[0i64; BUCKET_SLOTS]; MRB * NRB];
-            for i in (0..mp).step_by(MRB) {
-                for j in (0..np).step_by(NRB) {
-                    let mut tile = [[zero; NRB]; MRB];
-                    ks.tile(
-                        &mut tile,
-                        &mut buckets,
-                        &ap,
-                        i,
-                        &bp,
-                        j,
-                        k,
-                        obs_on,
-                        &mut tally,
-                    );
-                    for (r, row) in tile.iter().enumerate().take(m - i) {
-                        for (s, q) in row.iter().enumerate().take(n - j) {
-                            accs[(i + r) * n + j + s].merge_from(q);
-                        }
-                    }
-                }
-            }
-            note_kstrip_tally(tally);
+        if self.accumulate_fixed(m, k, n, a, false, b_t, false) {
             return;
         }
+        let (ae, be) = (a.elems(), b_t.elems());
         for i in 0..m {
             let a_run = &ae[i * k..(i + 1) * k];
             for j in 0..n {
@@ -247,6 +216,35 @@ impl GradQuireBuf {
         }
     }
 
+    /// The narrow body of [`GradQuireBuf::accumulate_at_b`] and
+    /// [`GradQuireBuf::accumulate_a_bt`]: `false` (nothing done) for wide
+    /// buffers.
+    #[allow(clippy::too_many_arguments)]
+    fn accumulate_fixed(
+        &mut self,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &PositPlane,
+        a_transposed: bool,
+        b: &PositPlane,
+        b_transposed: bool,
+    ) -> bool {
+        let Accs::Narrow(accs) = &mut self.accs else {
+            return false;
+        };
+        let panels = FixedPanels::pack(m, k, n, a, a_transposed, b, b_transposed);
+        let lsb_scale = panels.lsb_scale();
+        panels.for_each(0..m, n, |i, j, sum, nar| {
+            let q = &mut accs[i * n + j];
+            q.add_fixed(sum, lsb_scale);
+            if nar {
+                q.set_nar();
+            }
+        });
+        true
+    }
+
     /// `buf[j] += Σ_r p[r, j]` over a `[rows, cols]` plane — the exact
     /// accumulation of a bias gradient's column sums (`Δb += Σ_n dY`).
     ///
@@ -255,19 +253,7 @@ impl GradQuireBuf {
     /// Panics on format/length mismatches or an operand margin beyond the
     /// buffer's construction margin.
     pub fn accumulate_col_sums(&mut self, rows: usize, cols: usize, p: &PositPlane) {
-        assert_eq!(p.format(), self.fmt, "plane format");
-        assert!(
-            p.quire_margin() <= self.margin,
-            "operand scale shift exceeds the buffer's construction margin"
-        );
-        assert_eq!(p.len(), rows * cols, "plane length");
-        assert_eq!(self.len(), cols, "buffer length");
-        let pe = p.elems();
-        for r in 0..rows {
-            for (j, &x) in pe[r * cols..(r + 1) * cols].iter().enumerate() {
-                self.add(j, x);
-            }
-        }
+        self.accumulate_sums(cols, rows, p, true);
     }
 
     /// `buf[r] += Σ_c p[r, c]` over a `[rows, cols]` plane — the exact
@@ -279,17 +265,35 @@ impl GradQuireBuf {
     /// Panics on format/length mismatches or an operand margin beyond the
     /// buffer's construction margin.
     pub fn accumulate_row_sums(&mut self, rows: usize, cols: usize, p: &PositPlane) {
+        self.accumulate_sums(rows, cols, p, false);
+    }
+
+    /// `buf[r] += Σ_t run_r[t]` over `runs` runs of `k` elements of `p`,
+    /// stored `[runs, k]`, or `[k, runs]` when `transposed`. Narrow buffers
+    /// sum each run's fixed-point words and fold the sum once; wide buffers
+    /// add element by element.
+    fn accumulate_sums(&mut self, runs: usize, k: usize, p: &PositPlane, transposed: bool) {
         assert_eq!(p.format(), self.fmt, "plane format");
         assert!(
             p.quire_margin() <= self.margin,
             "operand scale shift exceeds the buffer's construction margin"
         );
-        assert_eq!(p.len(), rows * cols, "plane length");
-        assert_eq!(self.len(), rows, "buffer length");
+        assert_eq!(p.len(), runs * k, "plane length");
+        assert_eq!(self.len(), runs, "buffer length");
+        if let Accs::Narrow(accs) = &mut self.accs {
+            let panel = FixedPanel::<i64>::pack(p, runs, k, transposed, runs);
+            for (r, q) in accs.iter_mut().enumerate() {
+                q.add_fixed(panel.run_sum(r), panel.lsb_scale());
+                if panel.is_nar(r) {
+                    q.set_nar();
+                }
+            }
+            return;
+        }
         let pe = p.elems();
-        for r in 0..rows {
-            for &x in &pe[r * cols..(r + 1) * cols] {
-                self.add(r, x);
+        for r in 0..runs {
+            for t in 0..k {
+                self.add(r, pe[if transposed { t * runs + r } else { r * k + t }]);
             }
         }
     }
@@ -431,30 +435,34 @@ mod tests {
         assert_eq!(got, want, "a_bt");
     }
 
+    /// A scale-shifted plane of `len` packed code words with zero lanes
+    /// and, when `len > 3`, one NaR in the middle.
+    fn lane_plane(fmt: PositFormat, len: usize, salt: usize, scale_exp: i32) -> PositPlane {
+        let mut bits = crate::storage::PackedBits::for_format(fmt, len);
+        for i in 0..len {
+            let v = ((i * 37 + salt * 11) % 29) as f32 * 0.25 - 3.5;
+            let v = if i % 13 == 5 { 0.0 } else { v };
+            bits.push(fmt.from_f32(v, Rounding::NearestEven));
+        }
+        if len > 3 {
+            bits.set(len / 2, fmt.nar_bits());
+        }
+        PositPlane::from_packed(fmt, &bits, scale_exp)
+    }
+
     #[test]
-    fn kstrip_a_bt_matches_the_per_mac_loop() {
-        // The tiled K-strip body against the per-element `mac` loop, over
-        // ragged m/n (zero-padded tiles), NaR and zero elements, and
-        // scale-shifted planes that use the construction margin.
+    fn fixed_tiles_match_the_per_mac_loop() {
+        // The fixed-point tile of both GEMM shapes against the per-element
+        // `mac` loop, over ragged m/n (zero-padded tiles), NaR and zero
+        // elements, and scale-shifted planes that use the construction
+        // margin — on both word tiers ((8,1) 32-bit, (8,2)/(16,1) 64-bit).
+        // The shifted (16,1) cell exceeds the narrow budget and pins the
+        // wide buffers' per-MAC loop instead.
         for (n_bits, es) in [(8u32, 1u32), (8, 2), (16, 1)] {
             let fmt = PositFormat::of(n_bits, es);
             for (m, k, n, sa, sb) in [(1, 5, 1, 0, 0), (6, 40, 75, 0, 0), (5, 9, 7, 3, -2)] {
-                let draw = |len: usize, salt: usize| -> PositPlane {
-                    let mut bits = crate::storage::PackedBits::for_format(fmt, len);
-                    for i in 0..len {
-                        let v = ((i * 37 + salt * 11) % 29) as f32 * 0.25 - 3.5;
-                        let v = if i % 13 == 5 { 0.0 } else { v };
-                        bits.push(fmt.from_f32(v, Rounding::NearestEven));
-                    }
-                    if len > 3 {
-                        bits.set(len / 2, fmt.nar_bits());
-                    }
-                    PositPlane::from_packed(fmt, &bits, if salt == 0 { sa } else { sb })
-                };
-                let (a, b) = (draw(m * k, 0), draw(n * k, 1));
+                let (a, b) = (lane_plane(fmt, m * k, 0, sa), lane_plane(fmt, n * k, 1, sb));
                 let margin = a.quire_margin() + b.quire_margin();
-                let mut tiled = GradQuireBuf::new(fmt, Rounding::NearestEven, margin, k, m * n);
-                tiled.accumulate_a_bt(m, k, n, &a, &b);
                 let mut oracle = GradQuireBuf::new(fmt, Rounding::NearestEven, margin, k, m * n);
                 for i in 0..m {
                     for j in 0..n {
@@ -463,11 +471,58 @@ mod tests {
                         }
                     }
                 }
-                let (mut got, mut want) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
-                tiled.round_into(&mut got);
-                oracle.round_into(&mut want);
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got), bits(&want), "{fmt} ({m},{k},{n})");
+                let mut a_bt = GradQuireBuf::new(fmt, Rounding::NearestEven, margin, k, m * n);
+                a_bt.accumulate_a_bt(m, k, n, &a, &b);
+                // The same products with both operands stored `[k, ·]`.
+                let t = |p: &PositPlane, rows: usize| {
+                    let e = p.elems();
+                    let elems = (0..e.len()).map(|q| e[(q % rows) * k + q / rows]).collect();
+                    PositPlane::from_elems(fmt, p.scale_exp(), elems)
+                };
+                let mut at_b = GradQuireBuf::new(fmt, Rounding::NearestEven, margin, k, m * n);
+                at_b.accumulate_at_b(m, k, n, &t(&a, m), &t(&b, n));
+                let round = |buf: &GradQuireBuf| {
+                    let mut out = vec![0.0f32; m * n];
+                    buf.round_into(&mut out);
+                    out.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                };
+                let want = round(&oracle);
+                assert_eq!(round(&a_bt), want, "a_bt {fmt} ({m},{k},{n})");
+                assert_eq!(round(&at_b), want, "at_b {fmt} ({m},{k},{n})");
+            }
+        }
+    }
+
+    #[test]
+    fn bias_sums_match_the_per_element_add() {
+        // Row and column sums fold each run's fixed-point words once; the
+        // per-element `add` is the oracle, over zero and NaR lanes and
+        // shifted planes, on narrow and wide buffers alike.
+        for (n_bits, es) in [(8u32, 1u32), (8, 2), (16, 1), (16, 2)] {
+            let fmt = PositFormat::of(n_bits, es);
+            for (rows, cols, shift) in [(1, 1, 0), (6, 40, 0), (5, 9, -3), (7, 3, 4)] {
+                let p = lane_plane(fmt, rows * cols, 2, shift);
+                let margin = p.quire_margin();
+                let depth = rows.max(cols);
+                let buf = |len| GradQuireBuf::new(fmt, Rounding::NearestEven, margin, depth, len);
+                let (mut by_row, mut by_col) = (buf(rows), buf(cols));
+                by_row.accumulate_row_sums(rows, cols, &p);
+                by_col.accumulate_col_sums(rows, cols, &p);
+                let (mut row_oracle, mut col_oracle) = (buf(rows), buf(cols));
+                for r in 0..rows {
+                    for c in 0..cols {
+                        row_oracle.add(r, p.elems()[r * cols + c]);
+                        col_oracle.add(c, p.elems()[r * cols + c]);
+                    }
+                }
+                let round = |b: &GradQuireBuf| {
+                    let mut out = vec![0.0f32; b.len()];
+                    b.round_into(&mut out);
+                    out.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                };
+                let label = format!("{fmt} ({rows},{cols}) shift {shift}");
+                assert_eq!(round(&by_row), round(&row_oracle), "rows {label}");
+                assert_eq!(round(&by_col), round(&col_oracle), "cols {label}");
             }
         }
     }

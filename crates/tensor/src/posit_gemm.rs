@@ -23,20 +23,23 @@
 //! * **decode LUTs** — ≤8-bit formats decode operand planes through a
 //!   256-entry [`Unpacked`] table and round back to f32 on store through
 //!   [`posit::lut::to_f32_lut`], replacing per-element bit-twiddling;
-//! * **register-blocked tiles** — the kernels pack both operands into
-//!   contiguous row-major panels (`A` rows, `B` columns) and run an
-//!   `MR×NR` micro-kernel whose accumulators stay in registers across the
-//!   whole `K` loop, so operand elements stream linearly and each loaded
-//!   element feeds `MR` or `NR` multiplies.
+//! * **fixed-point quire** — every posit value is an integer multiple of
+//!   `minpos`, so the narrow path packs each operand element once into a
+//!   signed integer word (`value / minpos`, at most `2·max_scale + 1`
+//!   bits) and computes every dot product as a plain integer
+//!   multiply-add in an `MR×NR` register tile: 32-bit words with `i64`
+//!   sums when `4·max_scale + ⌈log2 K⌉ ≤ 62`, 64-bit words with `i128`
+//!   sums otherwise. Each output's sum folds into its accumulator with
+//!   one shift ([`posit::NarrowQuire::add_fixed`]).
 //!
 //! [`PositGemm::gemm`] mirrors the three f32 kernels in [`crate::gemm`]
 //! behind one [`Transpose`] tag, with identical shape conventions and
 //! the same static row partitioner (now on the persistent worker pool), so
 //! the `nn` layers can swap backends without reshaping anything. Exactness
-//! makes all of this bit-transparent: narrow vs wide, tiled vs scalar and
-//! serial vs pooled all compute the same exact sum and round it once, which
-//! the exhaustive cross-checks in `tests/posit_gemm_exhaustive.rs` pin
-//! against exact rational arithmetic.
+//! makes all of this bit-transparent: fixed-point vs wide quire, either
+//! word tier and serial vs pooled all compute the same exact sum and round
+//! it once, which the exhaustive cross-checks in
+//! `tests/posit_gemm_exhaustive.rs` pin against exact rational arithmetic.
 
 use crate::gemm::{par_rows, Transpose};
 use posit::{NarrowQuire, PositFormat, PositValue, Quire, Rounding};
@@ -45,22 +48,20 @@ use std::sync::OnceLock;
 
 /// Cached handles for the kernel-path counters (`tensor.*` namespace in
 /// the global [`posit_obs::Registry`]). Which fast path fired — narrow vs
-/// wide accumulator, SWAR vs LUT vs bit-twiddle decode, K-strip batching —
-/// is invisible in the results (all paths are bit-identical by
-/// construction), so these counters are the only way to see what actually
-/// ran. Recording is per *call* (or one aggregated add per row block),
+/// wide accumulator, 32- vs 64-bit fixed-point words, SWAR vs LUT vs
+/// bit-twiddle decode — is invisible in the results (all paths are
+/// bit-identical by construction), so these counters are the only way to
+/// see what actually ran. Recording is per *call* (or one aggregated add per row block),
 /// never per MAC, and every site checks [`posit_obs::enabled`] first, so
 /// the disabled cost on the hot path is a relaxed atomic load.
 struct GemmObs {
     narrow_calls: posit_obs::Counter,
     wide_calls: posit_obs::Counter,
-    kstrip_calls: posit_obs::Counter,
+    fixed_i64_calls: posit_obs::Counter,
     decode_lut8: posit_obs::Counter,
     decode_lut2: posit_obs::Counter,
     decode_swar: posit_obs::Counter,
     decode_twiddle: posit_obs::Counter,
-    kstrips_flushed: posit_obs::Counter,
-    bucket_touches: posit_obs::Counter,
     quire_nar: posit_obs::Counter,
 }
 
@@ -71,13 +72,11 @@ fn gemm_obs() -> &'static GemmObs {
         GemmObs {
             narrow_calls: r.counter("tensor.gemm.narrow_calls"),
             wide_calls: r.counter("tensor.gemm.wide_calls"),
-            kstrip_calls: r.counter("tensor.gemm.kstrip_calls"),
+            fixed_i64_calls: r.counter("tensor.gemm.fixed_i64_calls"),
             decode_lut8: r.counter("tensor.plane.decode.lut8_elems"),
             decode_lut2: r.counter("tensor.plane.decode.lut2_elems"),
             decode_swar: r.counter("tensor.plane.decode.swar_elems"),
             decode_twiddle: r.counter("tensor.plane.decode.twiddle_elems"),
-            kstrips_flushed: r.counter("tensor.gemm.kstrips_flushed"),
-            bucket_touches: r.counter("tensor.gemm.bucket_touches"),
             quire_nar: r.counter("tensor.gemm.quire_nar_outputs"),
         }
     })
@@ -451,370 +450,298 @@ fn transpose_elems(src: &[Unpacked], rows: usize, cols: usize) -> Vec<Unpacked> 
     out
 }
 
-/// Rows per register tile of the micro-kernel.
-const MR: usize = 2;
-/// Columns per register tile of the micro-kernel.
-const NR: usize = 4;
+/// Register tile (rows × columns) of the 32-bit-word tier.
+const TILE32: (usize, usize) = (2, 4);
+/// Register tile of the 64-bit-word tier: its `i128` sums take two
+/// registers each, so the tile is half as tall.
+const TILE64: (usize, usize) = (1, 4);
 
-/// One multiply-accumulate into a narrow accumulator, with the plane
-/// conventions for zero (skip) and NaR (absorb).
-#[inline(always)]
-fn mac_narrow(q: &mut NarrowQuire, x: Unpacked, y: Unpacked) {
-    if x.sig == 0 || y.sig == 0 {
-        if x.scale == NAR_SCALE || y.scale == NAR_SCALE {
-            q.set_nar();
-        }
-        return;
+/// An operand word of the fixed-point quire. Every posit(n, es) value is
+/// an integer multiple of `minpos = 2^min_scale`, so a plane element is
+/// the integer `value / 2^(min_scale + scale_exp)` of at most
+/// `2·max_scale + 1` bits, and an exact dot product is a plain integer
+/// multiply-add over such words. The two tiers differ only in width.
+pub(crate) trait FixedWord: Copy + Default + Send + Sync + Into<i128> {
+    /// The integer type the products sum in.
+    type Sum: Copy + Default + std::ops::AddAssign + Into<i128>;
+    /// Narrow a word (the tier choice guarantees it fits).
+    fn narrow(v: i64) -> Self;
+    /// The exact product of two words.
+    fn mul(self, y: Self) -> Self::Sum;
+}
+
+impl FixedWord for i32 {
+    type Sum = i64;
+    #[inline(always)]
+    fn narrow(v: i64) -> i32 {
+        v as i32
     }
-    q.add_product_parts(
-        x.neg != y.neg,
-        x.scale + y.scale,
-        (x.sig as u128) * (y.sig as u128),
+    #[inline(always)]
+    fn mul(self, y: i32) -> i64 {
+        self as i64 * y as i64
+    }
+}
+
+impl FixedWord for i64 {
+    type Sum = i128;
+    #[inline(always)]
+    fn narrow(v: i64) -> i64 {
+        v
+    }
+    #[inline(always)]
+    fn mul(self, y: i64) -> i128 {
+        self as i128 * y as i128
+    }
+}
+
+/// True iff `k` products of `fmt` words sum exactly in an `i64` (the
+/// 32-bit-word tier): a word is at most `maxpos/minpos = 2^(2·max_scale)`
+/// in magnitude, so `k` products stay within `2^(4·max_scale + ⌈log2 k⌉)`,
+/// which is below `i64::MAX` when that exponent is at most 62. Posit(8,0)
+/// and posit(8,1) pass up to `k = 16384`; wider formats take 64-bit words
+/// and `i128` sums, which narrow eligibility always leaves room for.
+fn fits_word32(fmt: PositFormat, k: usize) -> bool {
+    4 * fmt.max_scale() as u32 + k.next_power_of_two().trailing_zeros() <= 62
+}
+
+/// The fixed-point word of one element, `±sig >> (63 − (scale − base))`
+/// with `base = min_scale + scale_exp` of its plane (0 for zero and NaR,
+/// whose significand is 0), and whether the element's scale lies inside
+/// its format's range. Exact: a posit's lowest significand bit never
+/// weighs less than `minpos`, so the shift drops only zero bits.
+/// Branch-free, since zeros sit at random in activation planes.
+#[inline(always)]
+fn fixed_word(x: Unpacked, base: i32) -> (i64, bool) {
+    let sh = 63i32.wrapping_sub(x.scale.wrapping_sub(base));
+    let in_range = (x.sig == 0) | (1..=63).contains(&sh);
+    debug_assert!(
+        !in_range || x.sig == 0 || x.sig.trailing_zeros() >= sh as u32,
+        "significand bits below minpos"
     );
+    let v = (x.sig >> (sh as u32 & 63)) as i64;
+    (if x.neg { -v } else { v }, in_range)
 }
 
-/// Exact dot product of two contiguous element runs in a narrow
-/// accumulator (the tail path of the micro-kernel; same math, no tiling).
-#[inline]
-fn dot_narrow(proto: NarrowQuire, a: &[Unpacked], b: &[Unpacked]) -> NarrowQuire {
-    let mut q = proto;
-    for (&x, &y) in a.iter().zip(b) {
-        mac_narrow(&mut q, x, y);
-    }
-    q
-}
-
-/// K-strip length of the batched micro-kernel: products are bucketed by
-/// `scale_sum` for this many `k` steps, then flushed into the accumulators
-/// with one `i128` shift-add per touched bucket
-/// ([`NarrowQuire::add_group`]). The bucket sums stay exact for any strip
-/// the narrow accumulator's own K budget admits (an `i64` bucket holds at
-/// least `2^32` worst-case `i32` fraction products, far above every
-/// eligible budget), so the strip is sized to amortize the flush scan to
-/// noise — most kernel-sized reductions run as a single strip and flush
-/// once per output.
-const KSTRIP: usize = 8192;
-
-/// An operand panel narrowed for the K-strip batched micro-kernel: the
-/// bit-63-aligned significands drop their guaranteed-zero low bits into
-/// signed `i32` fraction words, scales become bucket indices, and the NaR
-/// sentinels lift out into per-row flags (NaR absorbs the whole reduction
-/// regardless of its partner, so a flag per panel row replaces the per-MAC
-/// check).
-pub(crate) struct BatchPanel {
-    /// Per element: the signed fraction word `±(sig >> (64-width))` (0 for
-    /// zero and NaR elements). Kept separate from the scale byte so the
-    /// micro-kernel's lane reads are plain sign-extending loads.
-    sig: Vec<i32>,
-    /// Per element: the bucket-ready scale byte. The A panel carries the
-    /// `-emin` bias, so `a.sc ⊞ b.sc` (wrapping byte add) equals the
-    /// bucket index for every finite pair — the index is provably in
-    /// `[0, 126)`, so the mod-256 wrap of B's negative scales cancels
-    /// exactly. Zero/NaR elements store an always-in-range dummy scale —
-    /// their product is 0.
-    sc: Vec<u8>,
-    /// Per panel row: true iff any element is NaR.
-    nar: Vec<bool>,
-    /// Per row × strip: min stored scale over finite non-zero elements
-    /// (`> smax` sentinel when the strip row is all zero/NaR) — bounds the
-    /// flush scan to the buckets a strip actually touched.
-    smin: Vec<i32>,
-    /// Per row × strip: max stored scale over finite non-zero elements.
-    smax: Vec<i32>,
-    /// Strip count (`⌈k / KSTRIP⌉`).
-    strips: usize,
-}
-
-const SMIN_EMPTY: i32 = i32::MAX / 2;
-const SMAX_EMPTY: i32 = i32::MIN / 2;
-
-/// Bucket-array slots per accumulator in the batched kernel. Narrow
-/// eligibility bounds the bucket count by `4·max_scale + 2·margin + 1 ≤
-/// 126`, so a power-of-two 128 always fits and lets the hot loop index
-/// with a mask instead of a bounds check.
-pub(crate) const BUCKET_SLOTS: usize = 128;
-
-/// Rows per register tile of the *batched* micro-kernel (wider than the
-/// scalar tile: its per-`k` state is a handful of `i32`s, not `i128`
-/// accumulators, so more rows amortize the B-panel loads further).
-pub(crate) const MRB: usize = 4;
-/// Columns per register tile of the batched micro-kernel.
-pub(crate) const NRB: usize = 4;
-
-/// One batched MAC: multiply the fraction words, index the bucket by the
-/// wrapping byte sum of the scale bytes. The mask is a proven no-op for
-/// in-range panels (`idx < BUCKET_SLOTS`, asserted in debug builds at
-/// flush time); it exists to eliminate the bounds check in the hot loop.
+/// Convert a run of elements into `dst`'s words: whether any was NaR, and
+/// whether all lay inside the format range (see [`fixed_word`]).
 #[inline(always)]
-fn batch_mac(bucket: &mut [i64; BUCKET_SLOTS], xs: i32, xe: u8, ys: i32, ye: u8) {
-    let idx = xe.wrapping_add(ye) as usize & (BUCKET_SLOTS - 1);
-    bucket[idx] += xs.wrapping_mul(ys) as i64;
+fn convert<'a, W: FixedWord>(
+    src: impl Iterator<Item = &'a Unpacked>,
+    dst: &mut [W],
+    base: i32,
+) -> (bool, bool) {
+    let (mut any_nar, mut in_range) = (false, true);
+    for (&x, w) in src.zip(dst) {
+        any_nar |= (x.sig == 0) & (x.scale == NAR_SCALE);
+        let (word, ok) = fixed_word(x, base);
+        in_range &= ok;
+        *w = W::narrow(word);
+    }
+    (any_nar, in_range)
 }
 
-impl BatchPanel {
-    /// Narrow a `[rows, k]` element panel. `bias` is subtracted from every
-    /// stored scale (`emin` for the A panel, 0 for B); `zero_scale` is the
-    /// raw scale recorded for zero/NaR elements — any value a finite
-    /// element could legally carry keeps their (zero) products in range.
-    ///
-    /// Rows `rows..padded` are appended as all-zero rows (no NaR, no
-    /// touched bucket), so a caller can run whole register tiles over a
-    /// ragged edge: a zero row contributes nothing to any sum.
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        src: &[Unpacked],
-        rows: usize,
-        padded: usize,
+/// Reduction depth packed per pass of [`FixedPanel::pack`].
+const PACK_BLOCK: usize = 64;
+
+/// An operand panel in fixed-point words: `runs` rows of `k` words each
+/// (zero rows appended up to a whole number of register tiles), with NaR
+/// lifted into per-row flags — NaR absorbs a whole reduction whatever its
+/// partner, so one flag per row replaces the per-MAC check.
+pub(crate) struct FixedPanel<W> {
+    words: Vec<W>,
+    nar: Vec<bool>,
+    k: usize,
+    /// Weight of a word's bit 0: `2^(min_scale + scale_exp)`.
+    lsb_scale: i32,
+}
+
+impl<W: FixedWord> FixedPanel<W> {
+    /// Pack `runs` runs of `k` elements of `plane`, which stores them as
+    /// `[runs, k]`, or as `[k, runs]` when `transposed`, followed by zero
+    /// rows up to `padded`.
+    pub(crate) fn pack(
+        plane: &PositPlane,
+        runs: usize,
         k: usize,
-        width: u32,
-        bias: i32,
-        zero_scale: i32,
-    ) -> BatchPanel {
-        debug_assert_eq!(src.len(), rows * k);
-        debug_assert!(padded >= rows);
-        let strips = k.div_ceil(KSTRIP).max(1);
-        let mut sig = Vec::with_capacity(padded * k);
-        let mut sc = Vec::with_capacity(padded * k);
+        transposed: bool,
+        padded: usize,
+    ) -> FixedPanel<W> {
+        let lsb_scale = plane.fmt.min_scale() + plane.scale_exp;
+        let e = plane.elems();
+        let mut words = vec![W::default(); padded * k];
         let mut nar = vec![false; padded];
-        let mut smin = vec![SMIN_EMPTY; padded * strips];
-        let mut smax = vec![SMAX_EMPTY; padded * strips];
-        for r in 0..rows {
-            for (t, e) in src[r * k..(r + 1) * k].iter().enumerate() {
-                if e.sig == 0 {
-                    nar[r] |= e.scale == NAR_SCALE;
-                    sig.push(0);
-                    sc.push((zero_scale - bias) as u8);
-                } else {
-                    let s = (e.sig >> (64 - width)) as i32;
-                    let b = e.scale - bias;
-                    sig.push(if e.neg { -s } else { s });
-                    sc.push(b as u8);
-                    let slot = r * strips + t / KSTRIP;
-                    smin[slot] = smin[slot].min(b);
-                    smax[slot] = smax[slot].max(b);
+        let mut in_range = true;
+        if k > 0 && transposed {
+            // Blocks of `PACK_BLOCK` depth keep the strided reads of a
+            // transposed plane cache-resident while the writes stay
+            // sequential.
+            for t0 in (0..k).step_by(PACK_BLOCK) {
+                let t1 = (t0 + PACK_BLOCK).min(k);
+                let rows = words.chunks_exact_mut(k).zip(&mut nar).take(runs);
+                for (r, (run, flag)) in rows.enumerate() {
+                    let src = e[t0 * runs + r..].iter().step_by(runs);
+                    let (any_nar, ok) = convert(src, &mut run[t0..t1], lsb_scale);
+                    *flag |= any_nar;
+                    in_range &= ok;
                 }
             }
+        } else if k > 0 {
+            let rows = e
+                .chunks_exact(k)
+                .zip(words.chunks_exact_mut(k))
+                .zip(&mut nar);
+            for ((src, run), flag) in rows {
+                let (any_nar, ok) = convert(src.iter(), run, lsb_scale);
+                *flag = any_nar;
+                in_range &= ok;
+            }
         }
-        sig.resize(padded * k, 0);
-        sc.resize(padded * k, (zero_scale - bias) as u8);
-        BatchPanel {
-            sig,
-            sc,
+        assert!(
+            in_range,
+            "plane element scale outside the {} range (element from a wider format?)",
+            plane.fmt
+        );
+        FixedPanel {
+            words,
             nar,
-            smin,
-            smax,
-            strips,
+            k,
+            lsb_scale,
         }
     }
+
+    /// True iff run `r` holds a NaR.
+    pub(crate) fn is_nar(&self, r: usize) -> bool {
+        self.nar[r]
+    }
+
+    /// `Σ` of run `r`'s words, in units of `2^lsb_scale`.
+    pub(crate) fn run_sum(&self, r: usize) -> i128 {
+        let run = &self.words[r * self.k..(r + 1) * self.k];
+        run.iter().map(|&w| w.into()).sum()
+    }
+
+    /// Weight of a word's bit 0, `2^lsb_scale`.
+    pub(crate) fn lsb_scale(&self) -> i32 {
+        self.lsb_scale
+    }
 }
 
-/// Per-call geometry of the K-strip batched kernel for one format and
-/// operand margin: the fraction-word width, the bucket bias and the
-/// bucket count. Shared by the GEMM kernels and the exact gradient
-/// buffers ([`crate::GradQuireBuf`]), which run the same register tile
-/// into accumulators that live across calls.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct KStrip {
-    width: u32,
-    emin: i32,
-    buckets: usize,
-    min_scale: i32,
+/// One `MR×NR` register tile: the exact dot products of A-panel runs
+/// `i..i+MR` with B-panel runs `j..j+NR`, as integer sums.
+#[inline(always)]
+fn fixed_tile<W: FixedWord, const MR: usize, const NR: usize>(
+    a: &FixedPanel<W>,
+    i: usize,
+    b: &FixedPanel<W>,
+    j: usize,
+) -> [[W::Sum; NR]; MR] {
+    let k = a.k;
+    let ar: [&[W]; MR] = std::array::from_fn(|r| &a.words[(i + r) * k..][..k]);
+    let br: [&[W]; NR] = std::array::from_fn(|s| &b.words[(j + s) * k..][..k]);
+    let mut acc = [[W::Sum::default(); NR]; MR];
+    for t in 0..k {
+        let y: [W; NR] = std::array::from_fn(|s| br[s][t]);
+        for (acc_row, run) in acc.iter_mut().zip(&ar) {
+            let x = run[t];
+            for (sum, &y) in acc_row.iter_mut().zip(&y) {
+                *sum += x.mul(y);
+            }
+        }
+    }
+    acc
 }
 
-/// Per-tile bucket scratch of the K-strip kernel.
-pub(crate) type KStripBuckets = [[i64; BUCKET_SLOTS]; MRB * NRB];
+/// Both operands of one fixed-point reduction, packed in the tier its
+/// format and depth select (see [`fits_word32`]).
+pub(crate) enum FixedPanels {
+    /// 32-bit words, `i64` sums.
+    Word32(FixedPanel<i32>, FixedPanel<i32>),
+    /// 64-bit words, `i128` sums.
+    Word64(FixedPanel<i64>, FixedPanel<i64>),
+}
 
-impl KStrip {
-    /// The geometry for `fmt` products whose planes carry `margin` total
-    /// scale-shift bits, or `None` when the fraction words would not
-    /// multiply inside an `i32` (`2·width ≤ 30`; every format the paper
-    /// trains with passes) or the bucket span exceeds [`BUCKET_SLOTS`]
-    /// (unreachable under narrow eligibility).
-    pub(crate) fn new(fmt: PositFormat, margin: u32) -> Option<KStrip> {
-        let width = fmt
-            .n()
-            .checked_sub(2 + fmt.es())
-            .filter(|&w| (1..=15).contains(&w))?;
-        let buckets = (4 * fmt.max_scale() + 2 * margin as i32 + 1) as usize;
-        (buckets <= BUCKET_SLOTS).then_some(KStrip {
-            width,
-            emin: 2 * fmt.min_scale() - margin as i32,
-            buckets,
-            min_scale: fmt.min_scale(),
-        })
-    }
-
-    /// Narrow an `[rows, k]` A panel (rows zero-padded to `padded`).
-    pub(crate) fn a_panel(
-        &self,
-        src: &[Unpacked],
-        rows: usize,
-        padded: usize,
-        k: usize,
-    ) -> BatchPanel {
-        BatchPanel::build(src, rows, padded, k, self.width, self.emin, self.min_scale)
-    }
-
-    /// Narrow an `[rows, k]` B panel (rows zero-padded to `padded`).
-    pub(crate) fn b_panel(
-        &self,
-        src: &[Unpacked],
-        rows: usize,
-        padded: usize,
-        k: usize,
-    ) -> BatchPanel {
-        BatchPanel::build(src, rows, padded, k, self.width, 0, 0)
-    }
-
-    /// Accumulate one `MRB×NRB` register tile — A panel rows `i..i+MRB`
-    /// against B panel rows `j..j+NRB` over the whole depth `k` — into
-    /// `acc`. Within a strip every product is a narrow `i32` multiply plus
-    /// an indexed add into an `i64` bucket per `scale_sum`; at the strip
-    /// boundary each touched bucket flushes with **one** `i128` shift-add
-    /// ([`NarrowQuire::add_group`]). A NaR anywhere in a panel row
-    /// poisons that row's outputs. `tally` counts flushed strips and
-    /// touched buckets while `obs_on`.
+impl FixedPanels {
+    /// Pack `A` as `m` runs and `B` as `n` runs of `k` elements (each
+    /// stored the other way round when its flag is set), padded so every
+    /// register tile that starts at a real row stays inside its panel.
     #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub(crate) fn tile(
-        &self,
-        acc: &mut [[NarrowQuire; NRB]; MRB],
-        buckets: &mut KStripBuckets,
-        ap: &BatchPanel,
-        i: usize,
-        bp: &BatchPanel,
-        j: usize,
+    pub(crate) fn pack(
+        m: usize,
         k: usize,
-        obs_on: bool,
-        tally: &mut [u64; 2],
+        n: usize,
+        a: &PositPlane,
+        a_transposed: bool,
+        b: &PositPlane,
+        b_transposed: bool,
+    ) -> FixedPanels {
+        let pad = |(mr, nr): (usize, usize)| (m + mr - 1, n.next_multiple_of(nr));
+        if fits_word32(a.fmt, k) {
+            let (ma, nb) = pad(TILE32);
+            FixedPanels::Word32(
+                FixedPanel::pack(a, m, k, a_transposed, ma),
+                FixedPanel::pack(b, n, k, b_transposed, nb),
+            )
+        } else {
+            let (ma, nb) = pad(TILE64);
+            FixedPanels::Word64(
+                FixedPanel::pack(a, m, k, a_transposed, ma),
+                FixedPanel::pack(b, n, k, b_transposed, nb),
+            )
+        }
+    }
+
+    /// True on the 32-bit-word tier.
+    pub(crate) fn is_word32(&self) -> bool {
+        matches!(self, FixedPanels::Word32(..))
+    }
+
+    /// Weight of a sum's bit 0: `2^(2·min_scale + scale_exp_a + scale_exp_b)`.
+    pub(crate) fn lsb_scale(&self) -> i32 {
+        match self {
+            FixedPanels::Word32(a, b) => a.lsb_scale + b.lsb_scale,
+            FixedPanels::Word64(a, b) => a.lsb_scale + b.lsb_scale,
+        }
+    }
+
+    /// Every output of A rows `rows` against all `n` B runs:
+    /// `emit(i, j, sum, nar)` with the exact dot product as an integer in
+    /// units of `2^lsb_scale` and whether a NaR poisons it.
+    pub(crate) fn for_each(
+        &self,
+        rows: std::ops::Range<usize>,
+        n: usize,
+        emit: impl FnMut(usize, usize, i128, bool),
     ) {
-        let strips = ap.strips;
-        debug_assert_eq!(strips, bp.strips);
-        let a0s = &ap.sig[i * k..(i + 1) * k];
-        let a1s = &ap.sig[(i + 1) * k..(i + 2) * k];
-        let a2s = &ap.sig[(i + 2) * k..(i + 3) * k];
-        let a3s = &ap.sig[(i + 3) * k..(i + 4) * k];
-        let a0e = &ap.sc[i * k..(i + 1) * k];
-        let a1e = &ap.sc[(i + 1) * k..(i + 2) * k];
-        let a2e = &ap.sc[(i + 2) * k..(i + 3) * k];
-        let a3e = &ap.sc[(i + 3) * k..(i + 4) * k];
-        let b0s = &bp.sig[j * k..(j + 1) * k];
-        let b1s = &bp.sig[(j + 1) * k..(j + 2) * k];
-        let b2s = &bp.sig[(j + 2) * k..(j + 3) * k];
-        let b3s = &bp.sig[(j + 3) * k..(j + 4) * k];
-        let b0e = &bp.sc[j * k..(j + 1) * k];
-        let b1e = &bp.sc[(j + 1) * k..(j + 2) * k];
-        let b2e = &bp.sc[(j + 2) * k..(j + 3) * k];
-        let b3e = &bp.sc[(j + 3) * k..(j + 4) * k];
-        let mut t0 = 0;
-        let mut strip = 0;
-        while t0 < k {
-            let t1 = (t0 + KSTRIP).min(k);
-            let [bk00, bk01, bk02, bk03, bk10, bk11, bk12, bk13, bk20, bk21, bk22, bk23, bk30, bk31, bk32, bk33] =
-                &mut *buckets;
-            for t in t0..t1 {
-                // Each lane read is one sign-extending (fraction) or
-                // zero-extending (scale byte) load; every lane then feeds
-                // NRB (or MRB) MACs.
-                let (x0s, x0e) = (a0s[t], a0e[t]);
-                let (x1s, x1e) = (a1s[t], a1e[t]);
-                let (x2s, x2e) = (a2s[t], a2e[t]);
-                let (x3s, x3e) = (a3s[t], a3e[t]);
-                let (y0s, y0e) = (b0s[t], b0e[t]);
-                let (y1s, y1e) = (b1s[t], b1e[t]);
-                let (y2s, y2e) = (b2s[t], b2e[t]);
-                let (y3s, y3e) = (b3s[t], b3e[t]);
-                batch_mac(bk00, x0s, x0e, y0s, y0e);
-                batch_mac(bk01, x0s, x0e, y1s, y1e);
-                batch_mac(bk02, x0s, x0e, y2s, y2e);
-                batch_mac(bk03, x0s, x0e, y3s, y3e);
-                batch_mac(bk10, x1s, x1e, y0s, y0e);
-                batch_mac(bk11, x1s, x1e, y1s, y1e);
-                batch_mac(bk12, x1s, x1e, y2s, y2e);
-                batch_mac(bk13, x1s, x1e, y3s, y3e);
-                batch_mac(bk20, x2s, x2e, y0s, y0e);
-                batch_mac(bk21, x2s, x2e, y1s, y1e);
-                batch_mac(bk22, x2s, x2e, y2s, y2e);
-                batch_mac(bk23, x2s, x2e, y3s, y3e);
-                batch_mac(bk30, x3s, x3e, y0s, y0e);
-                batch_mac(bk31, x3s, x3e, y1s, y1e);
-                batch_mac(bk32, x3s, x3e, y2s, y2e);
-                batch_mac(bk33, x3s, x3e, y3s, y3e);
+        match self {
+            FixedPanels::Word32(a, b) => {
+                fixed_tiles::<_, { TILE32.0 }, { TILE32.1 }>(a, rows, b, n, emit)
             }
-            for (r, acc_row) in acc.iter_mut().enumerate() {
-                let alo = ap.smin[(i + r) * strips + strip];
-                let ahi = ap.smax[(i + r) * strips + strip];
-                for (s, q) in acc_row.iter_mut().enumerate() {
-                    let lo = alo + bp.smin[(j + s) * strips + strip];
-                    let hi = ahi + bp.smax[(j + s) * strips + strip];
-                    if lo > hi {
-                        continue; // strip touched no bucket for this output
-                    }
-                    debug_assert!(lo >= 0 && (hi as usize) < self.buckets);
-                    if obs_on {
-                        tally[0] += 1;
-                    }
-                    let bk = &mut buckets[r * NRB + s];
-                    for idx in lo as usize..=hi as usize {
-                        let v = bk[idx & (BUCKET_SLOTS - 1)];
-                        if v != 0 {
-                            if obs_on {
-                                tally[1] += 1;
-                            }
-                            q.add_group(idx as i32 + self.emin, self.width, v);
-                            bk[idx & (BUCKET_SLOTS - 1)] = 0;
-                        }
-                    }
-                }
-            }
-            t0 = t1;
-            strip += 1;
-        }
-        for (r, acc_row) in acc.iter_mut().enumerate() {
-            for (s, q) in acc_row.iter_mut().enumerate() {
-                if ap.nar[i + r] || bp.nar[j + s] {
-                    q.set_nar();
-                }
+            FixedPanels::Word64(a, b) => {
+                fixed_tiles::<_, { TILE64.0 }, { TILE64.1 }>(a, rows, b, n, emit)
             }
         }
     }
 }
 
-/// Post one row block's K-strip flush tally (see [`KStrip::tile`]).
-pub(crate) fn note_kstrip_tally(tally: [u64; 2]) {
-    if posit_obs::enabled() {
-        let o = gemm_obs();
-        o.kstrips_flushed.add(tally[0]);
-        o.bucket_touches.add(tally[1]);
+/// [`FixedPanels::for_each`] on one tier, in `MR×NR` register tiles.
+fn fixed_tiles<W: FixedWord, const MR: usize, const NR: usize>(
+    a: &FixedPanel<W>,
+    rows: std::ops::Range<usize>,
+    b: &FixedPanel<W>,
+    n: usize,
+    mut emit: impl FnMut(usize, usize, i128, bool),
+) {
+    for i in rows.clone().step_by(MR) {
+        for j in (0..n).step_by(NR) {
+            let acc = fixed_tile::<W, MR, NR>(a, i, b, j);
+            for (r, acc_row) in acc.iter().enumerate().take(rows.end - i) {
+                for (s, &sum) in acc_row.iter().enumerate().take(n - j) {
+                    emit(i + r, j + s, sum.into(), a.nar[i + r] || b.nar[j + s]);
+                }
+            }
+        }
     }
 }
-
-/// Runtime selection of the K-strip batched micro-kernel (see
-/// [`PositGemm::kstrip`]). Every mode computes bit-identical results — the
-/// batched path groups *exact* integer terms, so only the order of the
-/// exact sum changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KStripMode {
-    /// Use the batched kernel whenever the narrow accumulator is active
-    /// and the reduction is deep enough to amortize panel narrowing.
-    #[default]
-    Auto,
-    /// Use the batched kernel whenever the narrow accumulator is active
-    /// (tests and benches pinning the path, regardless of depth).
-    Force,
-    /// Never batch — the per-element scalar micro-kernel, kept as the
-    /// bit-exact oracle.
-    Off,
-}
-
-/// Minimum reduction depth at which [`KStripMode::Auto`] batches: shallow
-/// reductions (a 1-channel LeNet `conv1` has `k = 25`) flush buckets so
-/// often that the per-MAC savings drown in flush scans, and the scalar
-/// tile wins. The 3-channel `conv1` (`k = 75`) breaks even — K-strip and
-/// scalar both take about 8.1 ms for its batch-32 lowered forward
-/// `[6,75]×[75,4608]` — and `conv2` (`k = 150`) already gains ~1.6× from
-/// batching.
-const KSTRIP_AUTO_MIN_K: usize = 48;
 
 /// The rounding mode a kernel actually applies: stochastic rounding needs
 /// a per-element random word, which no GEMM kernel, sandwich quantizer or
@@ -837,7 +764,6 @@ pub struct PositGemm {
     fmt: PositFormat,
     rounding: Rounding,
     force_wide: bool,
-    kstrip: KStripMode,
 }
 
 impl PositGemm {
@@ -850,7 +776,6 @@ impl PositGemm {
             fmt,
             rounding: kernel_rounding(rounding),
             force_wide: false,
-            kstrip: KStripMode::Auto,
         }
     }
 
@@ -862,30 +787,11 @@ impl PositGemm {
         self
     }
 
-    /// Select how the K-strip batched micro-kernel is chosen (builder
-    /// style). Results are bit-identical in every mode.
-    pub fn kstrip(mut self, mode: KStripMode) -> PositGemm {
-        self.kstrip = mode;
-        self
-    }
-
     /// True iff a GEMM with reduction depth `k` over planes carrying
     /// `margin` total scale-shift bits would take the narrow-accumulator
     /// fast path (see [`posit::NarrowQuire::try_new`] for the accounting).
     pub fn uses_narrow_path(&self, margin: u32, k: usize) -> bool {
         !self.force_wide && NarrowQuire::try_new(self.fmt, margin, k).is_some()
-    }
-
-    /// True iff a GEMM with reduction depth `k` over planes carrying
-    /// `margin` total scale-shift bits would run the K-strip batched
-    /// micro-kernel (requires the narrow path; [`KStripMode`] then decides).
-    pub fn uses_kstrip_path(&self, margin: u32, k: usize) -> bool {
-        self.uses_narrow_path(margin, k)
-            && match self.kstrip {
-                KStripMode::Auto => k >= KSTRIP_AUTO_MIN_K,
-                KStripMode::Force => true,
-                KStripMode::Off => false,
-            }
     }
 
     /// The kernel's format.
@@ -917,186 +823,30 @@ impl PositGemm {
         }
     }
 
-    /// The shared panel kernel: `c[rows, n] += round(dot(a_rows, b_cols))`
-    /// over row-major `A` rows (`[m, k]`, already offset to this block) and
-    /// row-major `B` columns (`[n, k]`).
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_panels(
+    /// The narrow path: both operands packed once into fixed-point panels
+    /// (shared read-only across row blocks), each output's integer dot
+    /// product folded into a copy of `proto` with one
+    /// [`NarrowQuire::add_fixed`] and rounded once.
+    fn gemm_fixed(
         &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a_rows: &[Unpacked],
-        b_cols: &[Unpacked],
-        margin: u32,
+        proto: NarrowQuire,
+        (m, k, n): (usize, usize, usize),
+        panels: &FixedPanels,
         c: &mut [f32],
     ) {
-        let kernel = *self;
-        let narrow = if self.force_wide {
-            None
-        } else {
-            NarrowQuire::try_new(self.fmt, margin, k)
-        };
         let f32_lut = posit::lut::to_f32_lut(self.fmt);
-        // Narrow both panels once per call when the K-strip batched kernel
-        // is selected (the panels are shared read-only across row blocks).
-        let batch = if narrow.is_some() && self.uses_kstrip_path(margin, k) {
-            KStrip::new(self.fmt, margin)
-                .map(|ks| (ks, ks.a_panel(a_rows, m, m, k), ks.b_panel(b_cols, n, n, k)))
-        } else {
-            None
-        };
-        if posit_obs::enabled() {
-            let o = gemm_obs();
-            if narrow.is_some() {
-                o.narrow_calls.incr();
-            } else {
-                o.wide_calls.incr();
-            }
-            if batch.is_some() {
-                o.kstrip_calls.incr();
-            }
-        }
+        let lsb_scale = panels.lsb_scale();
         par_rows(m, n, m * k * n, c, |row0, c_chunk| {
             let rows = c_chunk.len().checked_div(n).unwrap_or(0);
-            let a_block = &a_rows[row0 * k..(row0 + rows) * k];
-            match (narrow, &batch) {
-                (Some(proto), Some((ks, ap, bp))) => kernel.block_batched(
-                    proto, f32_lut, ks, row0, rows, k, n, a_block, b_cols, ap, bp, c_chunk,
-                ),
-                (Some(proto), None) => {
-                    kernel.block_narrow(proto, f32_lut, rows, k, n, a_block, b_cols, c_chunk)
+            panels.for_each(row0..row0 + rows, n, |i, j, sum, nar| {
+                let mut q = proto;
+                q.add_fixed(sum, lsb_scale);
+                if nar {
+                    q.set_nar();
                 }
-                (None, _) => {
-                    kernel.block_wide(f32_lut, margin, rows, k, n, a_block, b_cols, c_chunk)
-                }
-            }
+                c_chunk[(i - row0) * n + j] += self.store_narrow(&q, f32_lut);
+            });
         });
-    }
-
-    /// K-strip batched fast path over one row block: full `MRB×NRB` tiles
-    /// run [`KStrip::tile`] (bucketed `i32` products, one `i128` flush per
-    /// touched bucket); the ragged edges run the scalar dot. Grouping
-    /// exact integer terms never changes the sum, so the result is
-    /// bit-identical to the scalar kernels; zero elements carry a zero
-    /// fraction word (their adds are no-ops) and NaR lifts out into
-    /// panel-row flags applied on store.
-    #[allow(clippy::too_many_arguments)]
-    fn block_batched(
-        &self,
-        proto: NarrowQuire,
-        f32_lut: Option<&[f32]>,
-        ks: &KStrip,
-        row0: usize,
-        rows: usize,
-        k: usize,
-        n: usize,
-        a: &[Unpacked],
-        b_cols: &[Unpacked],
-        ap: &BatchPanel,
-        bp: &BatchPanel,
-        c: &mut [f32],
-    ) {
-        // Flush accounting stays in locals and posts one counter add per
-        // row block; the `obs_on` tests sit in the flush scan, never in
-        // the per-MAC strip loop.
-        let obs_on = posit_obs::enabled();
-        let mut tally = [0u64; 2];
-        let mut buckets = [[0i64; BUCKET_SLOTS]; MRB * NRB];
-        let mut i = 0;
-        while i + MRB <= rows {
-            let r0 = row0 + i;
-            let mut j = 0;
-            while j + NRB <= n {
-                let mut acc = [[proto; NRB]; MRB];
-                ks.tile(&mut acc, &mut buckets, ap, r0, bp, j, k, obs_on, &mut tally);
-                for (r, acc_row) in acc.iter().enumerate() {
-                    for (s, q) in acc_row.iter().enumerate() {
-                        c[(i + r) * n + j + s] += self.store_narrow(q, f32_lut);
-                    }
-                }
-                j += NRB;
-            }
-            while j < n {
-                let b_run = &b_cols[j * k..(j + 1) * k];
-                for r in 0..MRB {
-                    let a_run = &a[(i + r) * k..(i + r + 1) * k];
-                    c[(i + r) * n + j] +=
-                        self.store_narrow(&dot_narrow(proto, a_run, b_run), f32_lut);
-                }
-                j += 1;
-            }
-            i += MRB;
-        }
-        while i < rows {
-            let a_run = &a[i * k..(i + 1) * k];
-            for j in 0..n {
-                let b_run = &b_cols[j * k..(j + 1) * k];
-                c[i * n + j] += self.store_narrow(&dot_narrow(proto, a_run, b_run), f32_lut);
-            }
-            i += 1;
-        }
-        note_kstrip_tally(tally);
-    }
-
-    /// Narrow fast path over one row block: MR×NR register tiles with
-    /// scalar edge loops. Every output element still accumulates its own
-    /// exact sum in ascending-`k` order, so tiling is bit-transparent.
-    #[allow(clippy::too_many_arguments)]
-    fn block_narrow(
-        &self,
-        proto: NarrowQuire,
-        f32_lut: Option<&[f32]>,
-        rows: usize,
-        k: usize,
-        n: usize,
-        a: &[Unpacked],
-        b_cols: &[Unpacked],
-        c: &mut [f32],
-    ) {
-        let mut i = 0;
-        while i + MR <= rows {
-            let a0 = &a[i * k..(i + 1) * k];
-            let a1 = &a[(i + 1) * k..(i + 2) * k];
-            let mut j = 0;
-            while j + NR <= n {
-                let b0 = &b_cols[j * k..(j + 1) * k];
-                let b1 = &b_cols[(j + 1) * k..(j + 2) * k];
-                let b2 = &b_cols[(j + 2) * k..(j + 3) * k];
-                let b3 = &b_cols[(j + 3) * k..(j + 4) * k];
-                let mut acc = [[proto; NR]; MR];
-                for t in 0..k {
-                    let av = [a0[t], a1[t]];
-                    let bv = [b0[t], b1[t], b2[t], b3[t]];
-                    for (r, &x) in av.iter().enumerate() {
-                        for (s, &y) in bv.iter().enumerate() {
-                            mac_narrow(&mut acc[r][s], x, y);
-                        }
-                    }
-                }
-                for (r, acc_row) in acc.iter().enumerate() {
-                    for (s, q) in acc_row.iter().enumerate() {
-                        c[(i + r) * n + j + s] += self.store_narrow(q, f32_lut);
-                    }
-                }
-                j += NR;
-            }
-            while j < n {
-                let b_run = &b_cols[j * k..(j + 1) * k];
-                c[i * n + j] += self.store_narrow(&dot_narrow(proto, a0, b_run), f32_lut);
-                c[(i + 1) * n + j] += self.store_narrow(&dot_narrow(proto, a1, b_run), f32_lut);
-                j += 1;
-            }
-            i += MR;
-        }
-        while i < rows {
-            let a_run = &a[i * k..(i + 1) * k];
-            for j in 0..n {
-                let b_run = &b_cols[j * k..(j + 1) * k];
-                c[i * n + j] += self.store_narrow(&dot_narrow(proto, a_run, b_run), f32_lut);
-            }
-            i += 1;
-        }
     }
 
     /// Wide fallback over one row block: per-output dots into the
@@ -1148,12 +898,14 @@ impl PositGemm {
     /// `c += round(a[m,k] * b[k,n])` — the posit twin of the f32 kernels
     /// in [`crate::gemm`], with `t` naming the operand stored transposed
     /// (see [`Transpose`]). The kernel reads row panels of `A` and column
-    /// panels of `B`, so only an operand stored the other way round is
-    /// repacked: [`Transpose::B`] packs nothing.
+    /// panels of `B`: the narrow path packs both into fixed-point words in
+    /// that layout, reading each operand in its stored order; the wide
+    /// path repacks only an operand stored the other way round.
     ///
     /// # Panics
     ///
-    /// Panics if the plane lengths disagree with the dimensions.
+    /// Panics if the plane lengths disagree with the dimensions, or if a
+    /// plane holds an element outside its format's range.
     #[allow(clippy::too_many_arguments)]
     pub fn gemm(
         &self,
@@ -1171,6 +923,26 @@ impl PositGemm {
         assert_eq!(b.len(), k * n, "B length");
         assert_eq!(c.len(), m * n, "C length");
         let margin = a.quire_margin() + b.quire_margin();
+        let narrow = if self.force_wide {
+            None
+        } else {
+            NarrowQuire::try_new(self.fmt, margin, k)
+        };
+        if let Some(proto) = narrow {
+            let panels = FixedPanels::pack(m, k, n, a, t == Transpose::A, b, t != Transpose::B);
+            if posit_obs::enabled() {
+                let o = gemm_obs();
+                o.narrow_calls.incr();
+                if panels.is_word32() {
+                    o.fixed_i64_calls.incr();
+                }
+            }
+            self.gemm_fixed(proto, (m, k, n), &panels, c);
+            return;
+        }
+        if posit_obs::enabled() {
+            gemm_obs().wide_calls.incr();
+        }
         let a_rows = match t {
             Transpose::A => Cow::Owned(transpose_elems(a.elems(), k, m)),
             _ => Cow::Borrowed(a.elems()),
@@ -1179,7 +951,12 @@ impl PositGemm {
             Transpose::B => Cow::Borrowed(b.elems()),
             _ => Cow::Owned(transpose_elems(b.elems(), k, n)),
         };
-        self.gemm_panels(m, k, n, &a_rows, &b_cols, margin, c);
+        let f32_lut = posit::lut::to_f32_lut(self.fmt);
+        par_rows(m, n, m * k * n, c, |row0, c_chunk| {
+            let rows = c_chunk.len().checked_div(n).unwrap_or(0);
+            let a_block = &a_rows[row0 * k..(row0 + rows) * k];
+            self.block_wide(f32_lut, margin, rows, k, n, a_block, &b_cols, c_chunk);
+        });
     }
 }
 

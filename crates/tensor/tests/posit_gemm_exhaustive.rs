@@ -8,7 +8,7 @@
 
 use posit::exact::{decode_ref, Rational, RefRounder};
 use posit::{PositFormat, Rounding};
-use posit_tensor::{KStripMode, PackedBits, PositGemm, PositPlane, Transpose};
+use posit_tensor::{PackedBits, PositGemm, PositPlane, Transpose};
 
 /// The 8-bit formats the paper trains with (es 0..=2).
 const NARROW_FMTS: [PositFormat; 3] = [
@@ -349,41 +349,48 @@ fn packed_plane_decode_matches_scalar_oracle() {
     }
 }
 
-/// The K-strip batched micro-kernel groups exact integer terms before the
-/// quire sees them, so forcing it on must be bit-identical to the scalar
-/// narrow kernel on the same inputs — pinned on every pairwise product of
-/// every 8-bit training format (k = 1, the degenerate strip).
+/// Bitwise agreement of two GEMM outputs, with NaN matching NaN.
+fn assert_bits_agree(got: &[f32], want: &[f32], label: &str) {
+    assert_eq!(got.len(), want.len(), "{label}: length");
+    for (i, (x, y)) in got.iter().zip(want).enumerate() {
+        assert!(
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+            "{label} element {i}: {x} vs {y}"
+        );
+    }
+}
+
+/// The fixed-point quire sums integer multiples of minpos, so it must be
+/// bit-identical to the wide quire on the same inputs — pinned on every
+/// pairwise product of every 8-bit training format (k = 1).
 #[test]
-fn kstrip_pairwise_products_bitwise_agree() {
+fn fixed_pairwise_products_bitwise_agree() {
     for fmt in NARROW_FMTS {
         let codes = finite_codes(fmt);
         let m = codes.len();
         let a = PositPlane::from_bits(fmt, &codes);
         let b = PositPlane::from_bits(fmt, &codes);
         for rounding in [Rounding::NearestEven, Rounding::ToZero] {
-            let off = PositGemm::new(fmt, rounding).kstrip(KStripMode::Off);
-            let force = PositGemm::new(fmt, rounding).kstrip(KStripMode::Force);
-            assert!(!off.uses_kstrip_path(0, 1));
-            assert!(force.uses_kstrip_path(0, 1), "{fmt} must batch");
-            let mut c_off = vec![0.0f32; m * m];
-            let mut c_force = vec![0.0f32; m * m];
-            off.gemm(Transpose::None, m, 1, m, &a, &b, &mut c_off);
-            force.gemm(Transpose::None, m, 1, m, &a, &b, &mut c_force);
-            assert_eq!(c_off, c_force, "{fmt} {rounding:?}");
+            let fixed = PositGemm::new(fmt, rounding);
+            let wide = fixed.wide_accumulator(true);
+            assert!(fixed.uses_narrow_path(0, 1), "{fmt} must run fixed-point");
+            let mut c_wide = vec![0.0f32; m * m];
+            let mut c_fixed = vec![0.0f32; m * m];
+            wide.gemm(Transpose::None, m, 1, m, &a, &b, &mut c_wide);
+            fixed.gemm(Transpose::None, m, 1, m, &a, &b, &mut c_fixed);
+            assert_eq!(c_wide, c_fixed, "{fmt} {rounding:?}");
         }
     }
 }
 
-/// Sampled posit(16,1) K-strip agreement at GEMM scale: register-tile
-/// interiors, row/column tails, zero and NaR lanes, reduction depths
-/// around the Auto threshold and around the strip boundary (8192) — the
-/// batched kernel must match the scalar kernel bit for bit everywhere.
+/// Sampled posit(16,1) agreement at GEMM scale (the 64-bit-word tier):
+/// register-tile interiors, row/column tails, zero and NaR lanes, and
+/// reduction depths from 1 up to the format's whole narrow budget (8192).
 #[test]
-fn kstrip_sampled_p16_sweeps_agree() {
+fn fixed_sampled_p16_sweeps_agree() {
     let fmt = PositFormat::of(16, 1);
     let mut state = 0xFACE_0FF5_1234_5678u64;
-    // (m, k, n): tails (m % 4, n % 4 ≠ 0), depths straddling the Auto
-    // threshold (48) and the K-strip length (8192).
+    // (m, k, n): tails (m % 2, n % 4 ≠ 0), shallow and deep reductions.
     for (m, k, n) in [
         (5usize, 1usize, 6usize),
         (6, 2, 7),
@@ -391,9 +398,6 @@ fn kstrip_sampled_p16_sweeps_agree() {
         (5, 48, 9),
         (7, 49, 3),
         (9, 333, 5),
-        // The (16,1) narrow K budget is exactly 8192 (13 guard bits), so
-        // the deepest batched reductions run as one full-length strip;
-        // deeper-than-one-strip shapes are pinned on (8,1) below.
         (3, 8191, 5),
         (2, 8192, 6),
     ] {
@@ -412,34 +416,28 @@ fn kstrip_sampled_p16_sweeps_agree() {
         };
         let a = PositPlane::from_bits(fmt, &gen_codes(m * k, true));
         let b = PositPlane::from_bits(fmt, &gen_codes(k * n, true));
-        let off = PositGemm::new(fmt, Rounding::NearestEven).kstrip(KStripMode::Off);
-        let force = PositGemm::new(fmt, Rounding::NearestEven).kstrip(KStripMode::Force);
-        assert!(force.uses_kstrip_path(0, k), "k={k} must batch");
-        let mut c_off = vec![0.0f32; m * n];
-        let mut c_force = vec![0.0f32; m * n];
-        off.gemm(Transpose::None, m, k, n, &a, &b, &mut c_off);
-        force.gemm(Transpose::None, m, k, n, &a, &b, &mut c_force);
-        for (i, (x, y)) in c_off.iter().zip(&c_force).enumerate() {
-            assert!(
-                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
-                "{m}x{k}x{n} element {i}: {x} vs {y}"
-            );
-        }
+        let fixed = PositGemm::new(fmt, Rounding::NearestEven);
+        let wide = fixed.wide_accumulator(true);
+        assert!(fixed.uses_narrow_path(0, k), "k={k} must run fixed-point");
+        let mut c_wide = vec![0.0f32; m * n];
+        let mut c_fixed = vec![0.0f32; m * n];
+        wide.gemm(Transpose::None, m, k, n, &a, &b, &mut c_wide);
+        fixed.gemm(Transpose::None, m, k, n, &a, &b, &mut c_fixed);
+        assert_bits_agree(&c_fixed, &c_wide, &format!("{m}x{k}x{n}"));
     }
 }
 
-/// K-strip boundary crossing: posit(8,1)'s huge narrow budget admits
-/// reductions deeper than one 8192-element strip, so these shapes force
-/// the multi-strip flush/reset cycle (remainder strips included) and must
-/// still match the scalar kernel bit for bit.
+/// Deep posit(8,1) reductions on either side of the 32-bit-word tier's
+/// depth bound (16384): the same sums through `i64` and `i128`
+/// accumulation must match the wide quire bit for bit.
 #[test]
-fn kstrip_multi_strip_shapes_agree() {
+fn fixed_deep_reductions_agree() {
     let fmt = PositFormat::of(8, 1);
     let mut state = 0xBEE5_0000_DEAD_10CCu64;
     for (m, k, n) in [(3usize, 8193usize, 4usize), (2, 16385, 3), (5, 12000, 2)] {
         // NaR-free streams (NaR poisoning is pinned by the (16,1) sweep
-        // above): with NaR anywhere in a multi-strip column every output
-        // is NaN and the strip arithmetic goes untested.
+        // above): with NaR anywhere in a deep column every output is NaN
+        // and the integer sums go untested.
         let mut gen_codes = |len: usize| -> Vec<u64> {
             (0..len)
                 .map(|i| {
@@ -456,13 +454,135 @@ fn kstrip_multi_strip_shapes_agree() {
         };
         let a = PositPlane::from_bits(fmt, &gen_codes(m * k));
         let b = PositPlane::from_bits(fmt, &gen_codes(k * n));
-        let off = PositGemm::new(fmt, Rounding::NearestEven).kstrip(KStripMode::Off);
-        let force = PositGemm::new(fmt, Rounding::NearestEven).kstrip(KStripMode::Force);
-        assert!(force.uses_kstrip_path(0, k), "k={k} must batch");
-        let mut c_off = vec![0.0f32; m * n];
-        let mut c_force = vec![0.0f32; m * n];
-        off.gemm(Transpose::None, m, k, n, &a, &b, &mut c_off);
-        force.gemm(Transpose::None, m, k, n, &a, &b, &mut c_force);
-        assert_eq!(c_off, c_force, "{m}x{k}x{n}");
+        let fixed = PositGemm::new(fmt, Rounding::NearestEven);
+        let wide = fixed.wide_accumulator(true);
+        assert!(fixed.uses_narrow_path(0, k), "k={k} must run fixed-point");
+        let mut c_wide = vec![0.0f32; m * n];
+        let mut c_fixed = vec![0.0f32; m * n];
+        wide.gemm(Transpose::None, m, k, n, &a, &b, &mut c_wide);
+        fixed.gemm(Transpose::None, m, k, n, &a, &b, &mut c_fixed);
+        assert_eq!(c_fixed, c_wide, "{m}x{k}x{n}");
+    }
+}
+
+/// Run one `[m,k]×[k,n]` product of code words under every [`Transpose`]
+/// layout, through the fixed-point quire and the forced-wide kernel, with
+/// each operand's Eq. 2 scale shift folded into its packed plane; every
+/// output must agree bit for bit. Returns the (plain-layout) output.
+#[allow(clippy::too_many_arguments)]
+fn fixed_matches_wide_in_every_layout(
+    fmt: PositFormat,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[u64],
+    b: &[u64],
+    (sa, sb): (i32, i32),
+    label: &str,
+) -> Vec<f32> {
+    let plane = |codes: &[u64], scale_exp: i32| {
+        let mut packed = PackedBits::for_format(fmt, codes.len());
+        codes.iter().for_each(|&c| packed.push(c));
+        PositPlane::from_packed(fmt, &packed, scale_exp)
+    };
+    let transpose = |codes: &[u64], rows: usize, cols: usize| -> Vec<u64> {
+        (0..rows * cols)
+            .map(|i| codes[(i % rows) * cols + i / rows])
+            .collect()
+    };
+    let fixed = PositGemm::new(fmt, Rounding::NearestEven);
+    let wide = fixed.wide_accumulator(true);
+    let margin = sa.unsigned_abs() + sb.unsigned_abs();
+    assert!(
+        fixed.uses_narrow_path(margin, k),
+        "{label}: must run fixed-point"
+    );
+    let mut plain = Vec::new();
+    for t in [Transpose::None, Transpose::A, Transpose::B] {
+        let pa = match t {
+            Transpose::A => plane(&transpose(a, m, k), sa),
+            _ => plane(a, sa),
+        };
+        let pb = match t {
+            Transpose::B => plane(&transpose(b, k, n), sb),
+            _ => plane(b, sb),
+        };
+        let mut c_wide = vec![0.0f32; m * n];
+        let mut c_fixed = vec![0.0f32; m * n];
+        wide.gemm(t, m, k, n, &pa, &pb, &mut c_wide);
+        fixed.gemm(t, m, k, n, &pa, &pb, &mut c_fixed);
+        assert_bits_agree(&c_fixed, &c_wide, &format!("{label} {t:?}"));
+        if t == Transpose::None {
+            plain = c_fixed;
+        }
+    }
+    plain
+}
+
+/// The tier boundaries of the fixed-point quire, at their worst case:
+/// every product `±maxpos·maxpos`, all of one sign per output row, so the
+/// integer sum reaches `k·2^(4·max_scale)`.
+///
+/// * posit(8,1) at the largest 32-bit-word depth (16384, sum `2^62`), one
+///   past it (the first 64-bit-word depth) and at twice it (`2^63`, which
+///   an `i64` cannot hold);
+/// * posit(16,1) at its whole narrow budget (8192, sum `2^125` in `i128`).
+///
+/// Row 0 sums positive products, row 1 negative ones; both round to
+/// `±maxpos`, and the forced-wide kernel must agree in every layout.
+#[test]
+fn fixed_tier_boundaries_agree_at_maxpos() {
+    for (fmt, k) in [
+        (PositFormat::of(8, 1), 16384usize),
+        (PositFormat::of(8, 1), 16385),
+        (PositFormat::of(8, 1), 32768),
+        (PositFormat::of(16, 1), 8192),
+    ] {
+        let (m, n) = (2usize, 3usize);
+        let maxpos = fmt.maxpos_bits();
+        let a: Vec<u64> = (0..m * k)
+            .map(|i| if i < k { maxpos } else { fmt.negate(maxpos) })
+            .collect();
+        let b = vec![maxpos; k * n];
+        let label = format!("{fmt} k={k}");
+        let c = fixed_matches_wide_in_every_layout(fmt, m, k, n, &a, &b, (0, 0), &label);
+        let top = fmt.to_f32(maxpos);
+        assert_eq!(c, [top, top, top, -top, -top, -top], "{label}");
+    }
+}
+
+/// Operand planes whose Eq. 2 scale shifts have opposite signs: the sum's
+/// LSB weighs `2^(2·min_scale + scale_exp_a + scale_exp_b)` and folds into
+/// an accumulator widened by `|scale_exp_a| + |scale_exp_b|`, with zero
+/// and NaR lanes mixed in, on every tier and every layout.
+#[test]
+fn fixed_opposite_scale_shifts_agree() {
+    let mut state = 0x0DD5_CA1E_5EED_0001u64;
+    for (n_bits, es, k, shifts) in [
+        (8u32, 1u32, 37usize, (5i32, -3i32)),
+        (8, 1, 37, (-6, 2)),
+        (8, 2, 29, (-4, 6)),
+        (16, 1, 8, (2, -1)),
+    ] {
+        let fmt = PositFormat::of(n_bits, es);
+        let (m, n) = (5usize, 7usize);
+        let mut gen_codes = |len: usize| -> Vec<u64> {
+            (0..len)
+                .map(|i| match i % 17 {
+                    0 => 0,
+                    _ => (lcg(&mut state) >> 21) & fmt.mask(),
+                })
+                .collect()
+        };
+        let mut a = gen_codes(m * k);
+        a[2 * k + 3] = fmt.nar_bits(); // poisons output row 2 only
+        let b = gen_codes(k * n);
+        let label = format!("{fmt} shifts {shifts:?}");
+        let c = fixed_matches_wide_in_every_layout(fmt, m, k, n, &a, &b, shifts, &label);
+        assert!(c.iter().any(|v| v.is_nan()), "{label}: NaR lanes");
+        assert!(
+            c.iter().any(|v| *v != 0.0 && !v.is_nan()),
+            "{label}: finite outputs"
+        );
     }
 }
